@@ -84,7 +84,8 @@ func TestRewardTrackerTimingBounds(t *testing.T) {
 			addTime[seq] = seq
 			addLine[seq] = mem.Line(0)
 			// Re-read what we actually added (last Add wins for seq).
-			addLine[seq] = tr.recs[len(tr.recs)-1].line
+			live := tr.recs.Live()
+			addLine[seq] = live[len(live)-1].line
 		}
 		return true
 	}

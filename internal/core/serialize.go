@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"resemble/internal/flatmap"
 	"resemble/internal/nn"
 )
 
@@ -48,6 +49,8 @@ func (c *Controller) LoadModel(r io.Reader) error {
 //	actions uint32
 //	rows    uint32
 //	rows × { key uint64, actions × float64 }
+//
+// Rows are written in token order, so equal tables give equal bytes.
 
 var tabMagic = [8]byte{'R', 'S', 'M', 'T', 'A', 'B', '0', '1'}
 
@@ -64,14 +67,14 @@ func (c *TabularController) SaveModel(w io.Writer) error {
 	if err := binary.Write(bw, binary.LittleEndian, uint32(c.NumActions())); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.tokens))); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint32(len(c.keys))); err != nil {
 		return err
 	}
-	for key, tok := range c.tokens {
+	for tok, key := range c.keys {
 		if err := binary.Write(bw, binary.LittleEndian, key); err != nil {
 			return err
 		}
-		for _, q := range c.q[tok] {
+		for _, q := range c.row(tok) {
 			if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(q)); err != nil {
 				return err
 			}
@@ -106,30 +109,34 @@ func (c *TabularController) LoadModel(r io.Reader) error {
 	if rows > 1<<26 {
 		return fmt.Errorf("core: unreasonable row count %d", rows)
 	}
-	// Stage: decode everything into locals first.
-	tokens := make(map[uint64]int, rows)
-	q := make([][]float64, 0, min(int(rows), 1<<16))
+	// Stage: decode everything into locals first. Row i becomes token i.
+	hint := min(int(rows), 1<<16)
+	tokens := flatmap.New(hint)
+	keys := make([]uint64, 0, hint)
+	q := make([]float64, 0, hint*int(actions))
 	for i := uint32(0); i < rows; i++ {
 		var key uint64
 		if err := binary.Read(br, binary.LittleEndian, &key); err != nil {
 			return fmt.Errorf("core: reading table row %d: %w", i, noEOF(err))
 		}
-		if _, dup := tokens[key]; dup {
+		if key == flatmap.Reserved {
+			return fmt.Errorf("core: table row %d: reserved key %#x", i, key)
+		}
+		if _, dup := tokens.Swap(key, uint64(i)); dup {
 			return fmt.Errorf("core: table row %d: duplicate key %#x", i, key)
 		}
-		row := make([]float64, actions)
-		for j := range row {
+		keys = append(keys, key)
+		for j := uint32(0); j < actions; j++ {
 			var bits uint64
 			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
 				return fmt.Errorf("core: reading table row %d: %w", i, noEOF(err))
 			}
-			row[j] = math.Float64frombits(bits)
+			q = append(q, math.Float64frombits(bits))
 		}
-		tokens[key] = len(q)
-		q = append(q, row)
 	}
 	// Install only after the whole snapshot decoded cleanly.
 	c.tokens = tokens
+	c.keys = keys
 	c.q = q
 	return nil
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 )
@@ -29,14 +32,14 @@ func savedTabular(t *testing.T) (*TabularController, []byte, []mem.Line) {
 // the failed load.
 func TestTabularLoadTruncatedLeavesStateIntact(t *testing.T) {
 	c, data, seq := savedTabular(t)
-	beforeTokens := len(c.tokens)
-	beforeQ := append([][]float64(nil), c.q...)
+	beforeTokens := c.tokens.Len()
+	beforeQ := append([]float64(nil), c.q...)
 
 	for _, cut := range []int{0, 4, 8, 12, 16, len(data) / 2, len(data) - 1} {
 		if err := c.LoadModel(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
-		if len(c.tokens) != beforeTokens || !reflect.DeepEqual(c.q, beforeQ) {
+		if c.tokens.Len() != beforeTokens || !reflect.DeepEqual(c.q, beforeQ) {
 			t.Fatalf("truncation at %d mutated controller state", cut)
 		}
 	}
@@ -96,5 +99,90 @@ func TestTabularLoadRejectsDuplicateKeys(t *testing.T) {
 	copy(mut[16+rowLen:16+rowLen+8], mut[16:16+8]) // second key := first key
 	if err := c.LoadModel(bytes.NewReader(mut)); err == nil {
 		t.Error("duplicate key accepted")
+	}
+}
+
+// TestTabularLoadRejectsReservedKey: the flat token index cannot hold
+// the key ^uint64(0); a snapshot carrying it must be rejected with an
+// error, leaving the table intact, rather than panicking in the table.
+func TestTabularLoadRejectsReservedKey(t *testing.T) {
+	c, data, seq := savedTabular(t)
+	before := append([]float64(nil), c.q...)
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(mut[16:24], flatmap.Reserved) // first row's key
+	if err := c.LoadModel(bytes.NewReader(mut)); err == nil {
+		t.Fatal("reserved key accepted")
+	}
+	if !reflect.DeepEqual(c.q, before) {
+		t.Fatal("failed load mutated the Q-table")
+	}
+	driveLoop(t, c, seq, 100)
+}
+
+// TestTabularLoadStateRejectsBadPending: a pending transition that
+// could never resolve inside the ring (outside the reward window, or
+// with an outstanding count the reward tracker cannot honour) must be
+// rejected at load, not left to trip the ring's occupied-slot panic
+// later in the run.
+func TestTabularLoadStateRejectsBadPending(t *testing.T) {
+	seq := makeLoop(32)
+	mk := func() *TabularController { return NewTabularController(testConfig(), ensembleArms()) }
+	c := mk()
+	driveLoop(t, c, seq, 500)
+	var buf bytes.Buffer
+	if err := c.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf0 := append([]byte(nil), buf.Bytes()...)
+	var st tabularState
+	if err := gob.NewDecoder(&buf).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	// The oldest prefetching transition: its tracker records come first.
+	prefetching := -1
+	for i, p := range st.Pending {
+		if !p.NP {
+			prefetching = i
+			break
+		}
+	}
+	if prefetching < 0 {
+		t.Fatal("precondition: no prefetching transition pending")
+	}
+	if err := mk().LoadState(bytes.NewReader(buf0)); err != nil {
+		t.Fatalf("unmodified snapshot rejected: %v", err)
+	}
+	for name, mut := range map[string]func(*tabularState){
+		"seq at step":       func(s *tabularState) { s.PendingSeqs[prefetching] = s.Step },
+		"seq before window": func(s *tabularState) { s.PendingSeqs[prefetching] = s.Step - 4096 },
+		"negative seq": func(s *tabularState) {
+			// Consistent with its tracker records, so only the seq
+			// range check can catch it.
+			for i, seq := range s.Tracker.Seqs {
+				if seq == s.PendingSeqs[prefetching] {
+					s.Tracker.Seqs[i] = -1
+				}
+			}
+			s.PendingSeqs[prefetching] = -1
+		},
+		"outstanding mismatch": func(s *tabularState) { s.Pending[prefetching].Outstanding += 1 },
+		"token out of range":   func(s *tabularState) { s.Pending[prefetching].Token = len(s.TokenKeys) },
+		"repeated token":       func(s *tabularState) { s.TokenVals[0] = s.TokenVals[len(s.TokenVals)-1] },
+	} {
+		bad := st
+		bad.PendingSeqs = append([]int(nil), st.PendingSeqs...)
+		bad.Pending = append([]tabTransitionState(nil), st.Pending...)
+		bad.TokenVals = append([]int(nil), st.TokenVals...)
+		bad.Tracker.Seqs = append([]int(nil), st.Tracker.Seqs...)
+		mut(&bad)
+		var enc bytes.Buffer
+		if err := gob.NewEncoder(&enc).Encode(bad); err != nil {
+			t.Fatal(err)
+		}
+		fresh := mk()
+		if err := fresh.LoadState(&enc); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		driveLoop(t, fresh, seq, 50) // still usable
 	}
 }

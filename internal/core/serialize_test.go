@@ -82,13 +82,13 @@ func TestTabularModelRoundTrip(t *testing.T) {
 		t.Fatalf("states %d != %d after round trip", b.UniqueStates(), a.UniqueStates())
 	}
 	// Every (key, row) must survive.
-	for key, tokA := range a.tokens {
-		tokB, ok := b.tokens[key]
+	for tokA, key := range a.keys {
+		tokB, ok := b.tokens.Get(key)
 		if !ok {
 			t.Fatalf("key %#x missing after round trip", key)
 		}
-		for i := range a.q[tokA] {
-			if a.q[tokA][i] != b.q[tokB][i] {
+		for i, q := range a.row(tokA) {
+			if q != b.row(int(tokB))[i] {
 				t.Fatalf("Q row mismatch for key %#x", key)
 			}
 		}

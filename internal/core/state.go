@@ -5,8 +5,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"resemble/internal/checkpoint"
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/nn"
 	"resemble/internal/prefetch"
@@ -29,25 +31,41 @@ type trackerState struct {
 
 func (t *RewardTracker) saveState() trackerState {
 	st := trackerState{Window: t.window}
-	for _, r := range t.recs {
-		st.Seqs = append(st.Seqs, r.seq)
-		st.Lines = append(st.Lines, r.line)
+	for _, r := range t.recs.Live() {
+		if !r.resolved {
+			st.Seqs = append(st.Seqs, r.seq)
+			st.Lines = append(st.Lines, r.line)
+		}
 	}
 	return st
 }
 
-func (t *RewardTracker) loadState(st trackerState) error {
-	if st.Window != t.window {
-		return fmt.Errorf("core: reward window %d does not match configured %d", st.Window, t.window)
+// validate checks a tracker snapshot against the configured window
+// before any state is replaced.
+func (st trackerState) validate(window int) error {
+	if st.Window != window {
+		return fmt.Errorf("core: reward window %d does not match configured %d", st.Window, window)
 	}
 	if len(st.Seqs) != len(st.Lines) {
 		return fmt.Errorf("core: mismatched reward-tracker lengths")
 	}
-	t.recs = t.recs[:0]
-	for i := range st.Seqs {
-		t.recs = append(t.recs, pfRecord{seq: st.Seqs[i], line: st.Lines[i]})
+	for i, line := range st.Lines {
+		if line == flatmap.Reserved {
+			return fmt.Errorf("core: reserved reward-tracker line")
+		}
+		if i > 0 && st.Seqs[i] < st.Seqs[i-1] {
+			return fmt.Errorf("core: reward-tracker records out of seq order")
+		}
 	}
 	return nil
+}
+
+// loadState installs a snapshot that passed validate.
+func (t *RewardTracker) loadState(st trackerState) {
+	t.Reset()
+	for i := range st.Seqs {
+		t.Add(st.Seqs[i], st.Lines[i])
+	}
 }
 
 // replayState mirrors Replay (Transition already has exported fields).
@@ -103,8 +121,10 @@ type controllerState struct {
 	Replay  replayState
 	Tracker trackerState
 
-	Outstanding map[int]int
-	RewardAcc   map[int]float64
+	// The per-transition reward accumulators, in seq order (the maps
+	// they mirror have no stable iteration order).
+	Outstanding []seqEntry[int]
+	RewardAcc   []seqEntry[float64]
 
 	Rewards []float64
 	Acts    []int8
@@ -143,7 +163,7 @@ func (c *Controller) SaveState(w io.Writer) error {
 		Policy: policy.Bytes(), Target: target.Bytes(),
 		Replay:      replayState{Buf: c.replay.buf, N: c.replay.n},
 		Tracker:     c.tracker.saveState(),
-		Outstanding: c.outstanding, RewardAcc: c.rewardAcc,
+		Outstanding: bySeq(c.outstanding), RewardAcc: bySeq(c.rewardAcc),
 		Rewards: c.rewards, Acts: c.acts,
 		RewardSum: c.rewardSum, ActionCounts: c.actionCounts,
 		ArmIssued: c.armIssued, ArmUseful: c.armUseful, ArmUseless: c.armUseless,
@@ -180,12 +200,21 @@ func (c *Controller) LoadState(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("core: target net: %w", err)
 	}
+	if err := st.Tracker.validate(c.tracker.window); err != nil {
+		return err
+	}
+	outstanding, err := fromSeq(st.Outstanding)
+	if err != nil {
+		return err
+	}
+	rewardAcc, err := fromSeq(st.RewardAcc)
+	if err != nil {
+		return err
+	}
 	if err := loadPrefetchers(c.prefetchers, st.Prefetchers); err != nil {
 		return err
 	}
-	if err := c.tracker.loadState(st.Tracker); err != nil {
-		return err
-	}
+	c.tracker.loadState(st.Tracker)
 	c.policy.CopyWeightsFrom(policy)
 	c.target.CopyWeightsFrom(target)
 	// The fixed serving snapshot is a pure function of the target net
@@ -197,8 +226,8 @@ func (c *Controller) LoadState(r io.Reader) error {
 	c.rngSrc.Restore(st.Seed, st.RNGDraws)
 	c.step = st.Step
 	c.prevSeq = st.PrevSeq
-	c.outstanding = orEmptyInt(st.Outstanding)
-	c.rewardAcc = orEmptyFloat(st.RewardAcc)
+	c.outstanding = outstanding
+	c.rewardAcc = rewardAcc
 	c.rewards = st.Rewards
 	c.acts = st.Acts
 	c.rewardSum = st.RewardSum
@@ -213,7 +242,10 @@ func (c *Controller) LoadState(r io.Reader) error {
 	return nil
 }
 
-// tabularState is the gob payload of the tabular controller.
+// tabularState is the gob payload of the tabular controller. Tokens
+// are listed in token order (TokenVals[i] == i on save; older
+// snapshots in any order load too) and pending transitions in seq
+// order, so equal controller states encode to equal bytes.
 type tabularState struct {
 	Seed     int64
 	RNGDraws uint64
@@ -265,20 +297,26 @@ func (c *TabularController) SaveState(w io.Writer) error {
 	st := tabularState{
 		Seed: seed, RNGDraws: draws,
 		Step: c.step, PrevSeq: c.prevSeq,
-		Q:       c.q,
-		Tracker: c.tracker.saveState(),
-		Rewards: c.rewards, Acts: c.acts,
+		TokenKeys: c.keys,
+		Q:         make([][]float64, len(c.keys)),
+		Tracker:   c.tracker.saveState(),
+		Rewards:   c.rewards, Acts: c.acts,
 		RewardSum: c.rewardSum, ActionCounts: c.actionCounts,
 		ArmIssued: c.armIssued, ArmUseful: c.armUseful, ArmUseless: c.armUseless,
 		QWindow:     c.qWindow,
 		Mask:        c.mask.saveState(),
 		Prefetchers: blobs,
 	}
-	for key, tok := range c.tokens {
-		st.TokenKeys = append(st.TokenKeys, key)
-		st.TokenVals = append(st.TokenVals, tok)
+	st.TokenVals = make([]int, len(c.keys))
+	for tok := range c.keys {
+		st.TokenVals[tok] = tok
+		st.Q[tok] = c.row(tok)
 	}
-	for seq, t := range c.pending {
+	for seq := c.step - len(c.pending); seq < c.step; seq++ {
+		t := c.pendingAt(seq)
+		if t == nil {
+			continue
+		}
 		st.PendingSeqs = append(st.PendingSeqs, seq)
 		st.Pending = append(st.Pending, tabTransitionState{
 			Token: t.token, Action: t.action, NP: t.np,
@@ -313,29 +351,31 @@ func (c *TabularController) LoadState(r io.Reader) error {
 			return fmt.Errorf("core: Q row has %d actions, controller needs %d", len(row), c.NumActions())
 		}
 	}
+	tokens, keys, err := loadTokens(st.TokenKeys, st.TokenVals)
+	if err != nil {
+		return err
+	}
+	if err := st.Tracker.validate(c.tracker.window); err != nil {
+		return err
+	}
+	pending, err := loadPending(st, len(keys), c.NumActions())
+	if err != nil {
+		return err
+	}
 	if err := loadPrefetchers(c.prefetchers, st.Prefetchers); err != nil {
 		return err
 	}
-	if err := c.tracker.loadState(st.Tracker); err != nil {
-		return err
-	}
+	c.tracker.loadState(st.Tracker)
 	c.rngSrc.Restore(st.Seed, st.RNGDraws)
 	c.step = st.Step
 	c.prevSeq = st.PrevSeq
-	c.tokens = make(map[uint64]int, len(st.TokenKeys))
-	for i, key := range st.TokenKeys {
-		c.tokens[key] = st.TokenVals[i]
+	c.tokens = tokens
+	c.keys = keys
+	c.q = c.q[:0]
+	for _, row := range st.Q {
+		c.q = append(c.q, row...)
 	}
-	c.q = st.Q
-	c.pending = make(map[int]*tabTransition, len(st.PendingSeqs))
-	for i, seq := range st.PendingSeqs {
-		t := st.Pending[i]
-		c.pending[seq] = &tabTransition{
-			token: t.Token, action: t.Action, np: t.NP,
-			nextTok: t.NextTok, hasNext: t.HasNext,
-			outstanding: t.Outstanding, acc: t.Acc,
-		}
-	}
+	c.pending = pending
 	c.rewards = st.Rewards
 	c.acts = st.Acts
 	c.rewardSum = st.RewardSum
@@ -346,6 +386,67 @@ func (c *TabularController) LoadState(r io.Reader) error {
 	c.qWindow = st.QWindow
 	c.mask.loadState(st.Mask, c.NumActions())
 	return nil
+}
+
+// loadTokens rebuilds the token index from a snapshot's parallel
+// key/token lists; the tokens must be a permutation of 0..n-1 (rows of
+// Q) and the keys distinct and storable.
+func loadTokens(keyList []uint64, vals []int) (*flatmap.Map, []uint64, error) {
+	tokens := flatmap.New(len(keyList))
+	keys := make([]uint64, len(keyList))
+	seen := make([]bool, len(keyList))
+	for i, key := range keyList {
+		tok := vals[i]
+		if tok < 0 || tok >= len(keys) || seen[tok] {
+			return nil, nil, fmt.Errorf("core: token %d out of range or repeated", tok)
+		}
+		if key == flatmap.Reserved {
+			return nil, nil, fmt.Errorf("core: reserved token key %#x", key)
+		}
+		if _, dup := tokens.Swap(key, uint64(tok)); dup {
+			return nil, nil, fmt.Errorf("core: duplicate token key %#x", key)
+		}
+		seen[tok] = true
+		keys[tok] = key
+	}
+	return tokens, keys, nil
+}
+
+// loadPending rebuilds the pending-transition ring. Each transition
+// must fit the ring (within one ring length before Step, no two on one
+// slot), reference valid tokens and actions, and a prefetching one must
+// own exactly Outstanding tracker records — otherwise it could never
+// resolve and would collide with a later seq.
+func loadPending(st tabularState, nTokens, nActions int) ([]tabTransition, error) {
+	ring := newPendingRing(st.Tracker.Window)
+	records := map[int]int{}
+	for _, seq := range st.Tracker.Seqs {
+		records[seq]++
+	}
+	for i, seq := range st.PendingSeqs {
+		p := st.Pending[i]
+		slot := &ring[seq&(len(ring)-1)]
+		switch {
+		case seq < 0 || seq >= st.Step || seq < st.Step-len(ring) || slot.live:
+			return nil, fmt.Errorf("core: pending transition %d outside the reward window at step %d", seq, st.Step)
+		case p.Token < 0 || p.Token >= nTokens || p.Action < 0 || p.Action >= nActions ||
+			(p.HasNext && (p.NextTok < 0 || p.NextTok >= nTokens)):
+			return nil, fmt.Errorf("core: pending transition %d references a missing token or action", seq)
+		case p.NP && p.Outstanding != 0, !p.NP && (p.Outstanding < 1 || records[seq] != p.Outstanding):
+			return nil, fmt.Errorf("core: pending transition %d has %d outstanding lines, tracker holds %d", seq, p.Outstanding, records[seq])
+		}
+		delete(records, seq)
+		*slot = tabTransition{
+			seq: seq, live: true,
+			token: p.Token, action: p.Action, np: p.NP,
+			nextTok: p.NextTok, hasNext: p.HasNext,
+			outstanding: p.Outstanding, acc: p.Acc,
+		}
+	}
+	if len(records) != 0 {
+		return nil, fmt.Errorf("core: reward tracker holds records of %d unknown transitions", len(records))
+	}
+	return ring, nil
 }
 
 // loadMLPMatching decodes an MLP snapshot and verifies it matches
@@ -367,20 +468,31 @@ func loadMLPMatching(data []byte, want *nn.MLP) (*nn.MLP, error) {
 	return m, nil
 }
 
-// gob encodes empty maps/slices as nil; restore them as allocated so
-// the hot path never writes to a nil map.
-func orEmptyInt(m map[int]int) map[int]int {
-	if m == nil {
-		return make(map[int]int)
-	}
-	return m
+// seqEntry is one entry of a per-transition map, listed in seq order
+// in snapshots.
+type seqEntry[V any] struct {
+	Seq int
+	V   V
 }
 
-func orEmptyFloat(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return make(map[int]float64)
+func bySeq[V any](m map[int]V) []seqEntry[V] {
+	out := make([]seqEntry[V], 0, len(m))
+	for seq, v := range m {
+		out = append(out, seqEntry[V]{seq, v})
 	}
-	return m
+	slices.SortFunc(out, func(a, b seqEntry[V]) int { return a.Seq - b.Seq })
+	return out
+}
+
+func fromSeq[V any](entries []seqEntry[V]) (map[int]V, error) {
+	m := make(map[int]V, len(entries))
+	for _, e := range entries {
+		if _, dup := m[e.Seq]; dup {
+			return nil, fmt.Errorf("core: repeated transition seq %d", e.Seq)
+		}
+		m[e.Seq] = e.V
+	}
+	return m, nil
 }
 
 func orZeros(v []uint64, n int) []uint64 {

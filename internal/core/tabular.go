@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 
 	"resemble/internal/checkpoint"
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 	"resemble/internal/telemetry"
@@ -20,8 +22,14 @@ type TabularController struct {
 	cfg         Config
 	prefetchers []prefetch.Prefetcher
 
-	tokens map[uint64]int // state key -> token (Q-table row)
-	q      [][]float64    // token -> Q-values per action
+	// The Q-table is one flat slab with a row of NumActions() values
+	// per token, so a new state appends to it rather than allocating a
+	// row. keys inverts tokens (token -> state key), which gives
+	// checkpoints and saved models their token order.
+	tokens *flatmap.Map // state key -> token (Q-table row)
+	keys   []uint64
+	q      []float64
+	na     int // NumActions(): the slab's row stride
 
 	tracker *RewardTracker
 	rngSrc  *checkpoint.RandSource
@@ -30,9 +38,9 @@ type TabularController struct {
 	step    int
 	prevSeq int
 
-	// pending holds transitions awaiting reward and/or next state,
-	// bounded by the reward window.
-	pending map[int]*tabTransition
+	// pending holds transitions awaiting reward and/or next state: a
+	// ring indexed by seq (see newPendingRing).
+	pending []tabTransition
 
 	obs    []Observation
 	order  []int
@@ -73,7 +81,7 @@ func (c *TabularController) AttachTelemetry(t *telemetry.Collector) {
 	r := t.Registry()
 	c.hTD = r.Histogram("core.tabular.td_error")
 	c.cUpdates = r.Counter("core.tabular.updates")
-	r.Gauge("core.tabular.unique_states").Set(float64(len(c.tokens)))
+	r.Gauge("core.tabular.unique_states").Set(float64(len(c.keys)))
 	c.mask.attach(r)
 	for _, p := range c.prefetchers {
 		if a, ok := p.(telemetry.Attachable); ok {
@@ -88,7 +96,7 @@ func (c *TabularController) TelemetryStats() telemetry.ControllerStats {
 	qv := append([]float64(nil), c.qWindow...)
 	c.qWindow = c.qWindow[:0]
 	if c.tel != nil {
-		c.tel.Registry().Gauge("core.tabular.unique_states").Set(float64(len(c.tokens)))
+		c.tel.Registry().Gauge("core.tabular.unique_states").Set(float64(len(c.keys)))
 	}
 	return telemetry.ControllerStats{
 		Steps:        c.step,
@@ -103,16 +111,19 @@ func (c *TabularController) TelemetryStats() telemetry.ControllerStats {
 	}
 }
 
+// tabTransition is one pending-ring slot (bools last, to pack it).
 type tabTransition struct {
+	seq     int
 	token   int
 	action  int
-	np      bool
 	nextTok int
-	hasNext bool
 	// outstanding counts unresolved issued lines; acc accumulates their
 	// ±1 outcomes (same degree-aware reward as the MLP variant).
 	outstanding int
 	acc         float64
+	live        bool // slot holds an unresolved transition
+	np          bool
+	hasNext     bool
 }
 
 // NewTabularController builds the tabular ensemble controller. It
@@ -132,10 +143,12 @@ func NewTabularController(cfg Config, prefetchers []prefetch.Prefetcher) *Tabula
 func (c *TabularController) initModel() {
 	c.rngSrc = checkpoint.NewRandSource(c.cfg.Seed)
 	c.rng = rand.New(c.rngSrc)
-	c.tokens = make(map[uint64]int)
+	c.na = c.NumActions()
+	c.tokens = flatmap.New(256)
+	c.keys = c.keys[:0]
 	c.q = c.q[:0]
 	c.tracker = NewRewardTracker(c.cfg.Window)
-	c.pending = make(map[int]*tabTransition)
+	c.pending = newPendingRing(c.cfg.Window)
 	c.step = 0
 	c.prevSeq = -1
 	c.rewards = c.rewards[:0]
@@ -176,7 +189,7 @@ func (c *TabularController) Reset() {
 
 // UniqueStates returns the number of tokenized states, the quantity
 // Table IV's tokenized-table size is based on.
-func (c *TabularController) UniqueStates() int { return len(c.tokens) }
+func (c *TabularController) UniqueStates() int { return len(c.keys) }
 
 // optimisticInit is the initial Q-value of prefetching actions in a
 // fresh row. Starting above NP's 0 makes the table try a prefetcher
@@ -186,20 +199,61 @@ func (c *TabularController) UniqueStates() int { return len(c.tokens) }
 // pessimistic zeros would make the tabular variant mostly idle.
 const optimisticInit = 0.5
 
-// tokenOf tokenizes a state key, allocating a fresh optimistic Q-table
+// tokenOf tokenizes a state key, appending a fresh optimistic Q-table
 // row on first sight.
 func (c *TabularController) tokenOf(key uint64) int {
-	if tok, ok := c.tokens[key]; ok {
-		return tok
+	if tok, ok := c.tokens.Get(key); ok {
+		return int(tok)
 	}
-	tok := len(c.q)
-	c.tokens[key] = tok
-	row := make([]float64, c.NumActions())
+	tok := len(c.keys)
+	c.tokens.Set(key, uint64(tok))
+	c.keys = append(c.keys, key)
 	for i := 0; i < c.npAction(); i++ {
-		row[i] = optimisticInit
+		c.q = append(c.q, optimisticInit)
 	}
-	c.q = append(c.q, row)
+	c.q = append(c.q, 0) // NP
 	return tok
+}
+
+// row returns token tok's Q-values, one per action (aliases the slab).
+func (c *TabularController) row(tok int) []float64 {
+	i := tok * c.na
+	return c.q[i : i+c.na : i+c.na]
+}
+
+// newPendingRing sizes the pending-transition ring. A prefetching
+// transition resolves within window accesses (its lines hit or expire)
+// and an NP transition one access later, when its successor arrives, so
+// at most window+1 consecutive seqs are pending at once and slot
+// seq&(len-1) is always free when seq is added.
+func newPendingRing(window int) []tabTransition {
+	n := 1
+	for n < window+1 {
+		n <<= 1
+	}
+	return make([]tabTransition, n)
+}
+
+// pendingAt returns seq's unresolved transition, or nil.
+func (c *TabularController) pendingAt(seq int) *tabTransition {
+	t := &c.pending[seq&(len(c.pending)-1)]
+	if t.live && t.seq == seq {
+		return t
+	}
+	return nil
+}
+
+// addPending stores t in its ring slot. The slot must be free: an
+// occupied one means a transition outlived the reward window, which
+// the resolution rules make impossible, so it is a bug, never a
+// transition to overwrite.
+func (c *TabularController) addPending(t tabTransition) {
+	slot := &c.pending[t.seq&(len(c.pending)-1)]
+	if slot.live {
+		panic(fmt.Sprintf("core: pending transition %d unresolved when %d needs its slot", slot.seq, t.seq))
+	}
+	t.live = true
+	*slot = t
 }
 
 // OnAccess implements sim.Source.
@@ -224,7 +278,7 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 	}
 
 	// Fill the previous transition's successor token.
-	if t, ok := c.pending[c.prevSeq]; ok && !t.hasNext {
+	if t := c.pendingAt(c.prevSeq); t != nil && !t.hasNext {
 		t.nextTok = tok
 		t.hasNext = true
 	}
@@ -242,16 +296,16 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 		action = c.mask.explore(c.rng, c.NumActions())
 	} else {
 		if c.qPending {
-			c.qWindow = append(c.qWindow, c.q[tok]...)
+			c.qWindow = append(c.qWindow, c.row(tok)...)
 		}
-		action = c.pickValid(c.q[tok])
+		action = c.pickValid(c.row(tok))
 	}
 	if c.tel.ExplainTick() {
 		c.explain(seq, key, tok, action, explored)
 	}
 
 	c.out = c.out[:0]
-	t := &tabTransition{token: tok, action: action}
+	t := tabTransition{seq: seq, token: tok, action: action}
 	if action == c.npAction() || !c.obs[action].Valid {
 		t.np = true
 		c.recordReward(seq, 0)
@@ -266,16 +320,16 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 		c.armIssued[action] += uint64(len(c.out))
 	}
 	c.recordAction(seq, action)
-	c.pending[seq] = t
+	c.addPending(t)
 	c.prevSeq = seq
 	if c.tel != nil {
 		c.tel.Trace(telemetry.Event{Seq: uint64(seq), Kind: telemetry.KindAction, PC: a.PC, Addr: uint64(a.Addr), Action: int8(action)})
 	}
 
 	// NP transitions resolve as soon as the successor arrives.
-	if prev, ok := c.pending[seq-1]; ok && prev.np && prev.hasNext {
+	if prev := c.pendingAt(seq - 1); prev != nil && prev.np && prev.hasNext {
 		c.update(prev, 0)
-		delete(c.pending, seq-1)
+		prev.live = false
 	}
 	return c.out
 }
@@ -283,8 +337,8 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 // applyReward adds one line's outcome to its transition and applies the
 // Q update once every issued line has resolved.
 func (c *TabularController) applyReward(seq int, r float64) {
-	t, ok := c.pending[seq]
-	if !ok {
+	t := c.pendingAt(seq)
+	if t == nil {
 		return
 	}
 	t.acc += r
@@ -294,16 +348,16 @@ func (c *TabularController) applyReward(seq int, r float64) {
 	}
 	c.recordReward(seq, t.acc)
 	c.update(t, t.acc)
-	delete(c.pending, seq)
+	t.live = false
 }
 
 // update applies Equation 13 to one transition.
 func (c *TabularController) update(t *tabTransition, r float64) {
 	var future float64
 	if t.hasNext {
-		future = c.cfg.Gamma * maxf(c.q[t.nextTok])
+		future = c.cfg.Gamma * maxf(c.row(t.nextTok))
 	}
-	qsa := &c.q[t.token][t.action]
+	qsa := &c.q[t.token*c.na+t.action]
 	if c.hTD != nil {
 		c.hTD.Observe(absf(r + future - *qsa))
 	}
@@ -336,7 +390,7 @@ func (c *TabularController) explain(seq int, key uint64, tok, action int, explor
 		Epsilon:    c.cfg.epsilon(seq),
 		Explored:   explored,
 		StateKey:   key,
-		Q:          append([]float64(nil), c.q[tok]...),
+		Q:          append([]float64(nil), c.row(tok)...),
 		Action:     action,
 		ActionName: c.actionName(action),
 	}

@@ -10,6 +10,7 @@
 package sbp
 
 import (
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 	"resemble/internal/telemetry"
@@ -41,12 +42,14 @@ func (c *Config) setDefaults() {
 }
 
 // sandbox tracks one prefetcher's recent suggestions and their
-// outcomes.
+// outcomes. The history is a multiset: buf keeps the suggestions in
+// arrival order (duplicates included) and set counts each line's
+// occurrences in it.
 type sandbox struct {
-	buf    []mem.Line // FIFO of recent suggestions
-	set    map[mem.Line]int
-	issues int // suggestions made this period
-	hits   int // suggestions matched this period
+	buf    flatmap.Queue[mem.Line]
+	set    *flatmap.Map // line -> occurrences in buf
+	issues int          // suggestions made this period
+	hits   int          // suggestions matched this period
 
 	// Cumulative counts across periods, for telemetry.
 	cumIssues uint64
@@ -54,30 +57,34 @@ type sandbox struct {
 }
 
 func newSandbox(capacity int) *sandbox {
-	return &sandbox{set: make(map[mem.Line]int, capacity)}
+	s := &sandbox{set: flatmap.New(capacity)}
+	s.buf.Reset(2 * capacity)
+	return s
 }
 
+// add records a suggestion, first dropping the oldest one when the
+// history is full (so set never holds more than capacity lines).
 func (s *sandbox) add(line mem.Line, capacity int) {
 	s.issues++
 	s.cumIssues++
-	s.buf = append(s.buf, line)
-	s.set[line]++
-	if len(s.buf) > capacity {
-		old := s.buf[0]
-		s.buf = s.buf[1:]
-		if s.set[old] <= 1 {
-			delete(s.set, old)
+	if s.buf.Len() == capacity {
+		old := s.buf.Pop()
+		if n, _ := s.set.Get(old); n <= 1 {
+			s.set.Delete(old)
 		} else {
-			s.set[old]--
+			s.set.Set(old, n-1)
 		}
 	}
+	s.buf.Push(line)
+	n, _ := s.set.Get(line)
+	s.set.Set(line, n+1)
 }
 
 // match scores a hit when line is among the buffered suggestions. Like
 // the original's Bloom-filter test this is pure membership — entries
 // are not consumed, they age out of the FIFO.
 func (s *sandbox) match(line mem.Line) {
-	if s.set[line] > 0 {
+	if s.set.Contains(line) {
 		s.hits++
 		s.cumHits++
 	}

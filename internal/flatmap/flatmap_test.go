@@ -106,13 +106,13 @@ func TestClearKeepsCapacity(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
 		m.Set(i, i)
 	}
-	slots := len(m.keys)
+	slots := len(m.slots)
 	m.Clear()
 	if m.Len() != 0 {
 		t.Fatalf("Len = %d after Clear", m.Len())
 	}
-	if len(m.keys) != slots {
-		t.Fatalf("Clear changed capacity: %d -> %d", slots, len(m.keys))
+	if len(m.slots) != slots {
+		t.Fatalf("Clear changed capacity: %d -> %d", slots, len(m.slots))
 	}
 	for i := uint64(0); i < 1000; i++ {
 		if m.Contains(i) {
@@ -252,5 +252,27 @@ func TestSteadyStateNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ops allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestGetAbsentIsZero: Get reports 0 for an absent key even where a
+// deleted or shifted entry used to live, so counters can be read with
+// Get and bumped with Set.
+func TestGetAbsentIsZero(t *testing.T) {
+	m := New(4)
+	for k := uint64(0); k < 64; k++ {
+		m.Set(k, k+100)
+	}
+	for k := uint64(0); k < 64; k += 2 {
+		m.Delete(k)
+	}
+	for k := uint64(0); k < 64; k++ {
+		v, ok := m.Get(k)
+		if want := k%2 == 1; ok != want || (!ok && v != 0) || (ok && v != k+100) {
+			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
+		}
+	}
+	if v, ok := m.Get(Reserved); ok || v != 0 {
+		t.Fatalf("Get(Reserved) = %d,%v, want 0,false", v, ok)
 	}
 }

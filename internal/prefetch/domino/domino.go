@@ -12,6 +12,7 @@
 package domino
 
 import (
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 )
@@ -47,17 +48,18 @@ func (c *Config) setDefaults() {
 type Prefetcher struct {
 	cfg Config
 
-	// log is a ring buffer of the global miss history.
+	// log is a ring buffer of the global miss history. It grows by
+	// append until it holds LogSize entries and only then wraps, so a
+	// short run never allocates (or zeroes) the full log: unwrapped,
+	// len(log) == logAt; wrapped, len(log) == LogSize.
 	log     []mem.Line
 	logAt   int // next write position
 	wrapped bool
 
 	// idx1 maps a single miss line -> most recent log position where it
 	// occurred; idx2 maps a (prev,cur) pair hash -> log position of cur.
-	idx1     map[mem.Line]int
-	idx1Fifo []mem.Line
-	idx2     map[uint64]int
-	idx2Fifo []uint64
+	idx1 *flatmap.FIFO
+	idx2 *flatmap.FIFO
 
 	prev    mem.Line
 	hasPrev bool
@@ -79,44 +81,28 @@ func (p *Prefetcher) Name() string { return "domino" }
 // Spatial implements prefetch.Prefetcher: Domino is temporal.
 func (p *Prefetcher) Spatial() bool { return false }
 
+// indexHint is the initial size of each index table. The tables grow
+// on demand up to IndexSize; starting small keeps construction cheap
+// for the short runs that never come near the bound.
+const indexHint = 1024
+
 // Reset implements prefetch.Prefetcher.
 func (p *Prefetcher) Reset() {
-	p.log = make([]mem.Line, p.cfg.LogSize)
+	p.log = p.log[:0]
 	p.logAt = 0
 	p.wrapped = false
-	p.idx1 = make(map[mem.Line]int)
-	p.idx1Fifo = p.idx1Fifo[:0]
-	p.idx2 = make(map[uint64]int)
-	p.idx2Fifo = p.idx2Fifo[:0]
+	if p.idx1 == nil {
+		p.idx1 = flatmap.NewFIFO(p.cfg.IndexSize, indexHint)
+		p.idx2 = flatmap.NewFIFO(p.cfg.IndexSize, indexHint)
+	} else {
+		p.idx1.Reset()
+		p.idx2.Reset()
+	}
 	p.hasPrev = false
 }
 
 func pairKey(a, b mem.Line) uint64 {
 	return mem.FoldHash(a*0x9e3779b97f4a7c15^b, 32)
-}
-
-func (p *Prefetcher) idx1Insert(line mem.Line, pos int) {
-	if _, ok := p.idx1[line]; !ok {
-		p.idx1Fifo = append(p.idx1Fifo, line)
-		if len(p.idx1Fifo) > p.cfg.IndexSize {
-			old := p.idx1Fifo[0]
-			p.idx1Fifo = p.idx1Fifo[1:]
-			delete(p.idx1, old)
-		}
-	}
-	p.idx1[line] = pos
-}
-
-func (p *Prefetcher) idx2Insert(key uint64, pos int) {
-	if _, ok := p.idx2[key]; !ok {
-		p.idx2Fifo = append(p.idx2Fifo, key)
-		if len(p.idx2Fifo) > p.cfg.IndexSize {
-			old := p.idx2Fifo[0]
-			p.idx2Fifo = p.idx2Fifo[1:]
-			delete(p.idx2, old)
-		}
-	}
-	p.idx2[key] = pos
 }
 
 // logValid reports whether a log position still holds live history
@@ -126,7 +112,7 @@ func (p *Prefetcher) idx2Insert(key uint64, pos int) {
 // positions may replay unrelated history, which only costs accuracy —
 // exactly the failure mode of the hardware design's bounded log.
 func (p *Prefetcher) logValid(pos int) bool {
-	return pos >= 0 && pos < len(p.log) && (p.wrapped || pos < p.logAt)
+	return pos >= 0 && pos < len(p.log)
 }
 
 // Observe implements prefetch.Prefetcher. Domino trains on LLC misses
@@ -142,13 +128,13 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	// history up to (but excluding) this event, then replay successors.
 	var replayPos, found = -1, false
 	if p.hasPrev {
-		if pos, ok := p.idx2[pairKey(p.prev, a.Line)]; ok && p.logValid(pos) {
-			replayPos, found = pos, true
+		if pos, ok := p.idx2.Get(pairKey(p.prev, a.Line)); ok && p.logValid(int(pos)) {
+			replayPos, found = int(pos), true
 		}
 	}
 	if !found {
-		if pos, ok := p.idx1[a.Line]; ok && p.logValid(pos) {
-			replayPos, found = pos, true
+		if pos, ok := p.idx1.Get(a.Line); ok && p.logValid(int(pos)) {
+			replayPos, found = int(pos), true
 		}
 	}
 	if found {
@@ -157,7 +143,7 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 			conf = 0.9
 		}
 		for d := 1; d <= p.cfg.Degree; d++ {
-			pos := (replayPos + d) % len(p.log)
+			pos := (replayPos + d) % p.cfg.LogSize
 			if !p.logValid(pos) || pos == p.logAt {
 				break
 			}
@@ -171,15 +157,19 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 
 	// Log the miss and index it.
 	pos := p.logAt
-	p.log[pos] = a.Line
+	if p.wrapped {
+		p.log[pos] = a.Line
+	} else {
+		p.log = append(p.log, a.Line)
+	}
 	p.logAt++
-	if p.logAt == len(p.log) {
+	if p.logAt == p.cfg.LogSize {
 		p.logAt = 0
 		p.wrapped = true
 	}
-	p.idx1Insert(a.Line, pos)
+	p.idx1.Put(a.Line, uint64(pos))
 	if p.hasPrev {
-		p.idx2Insert(pairKey(p.prev, a.Line), pos)
+		p.idx2.Put(pairKey(p.prev, a.Line), uint64(pos))
 	}
 	p.prev = a.Line
 	p.hasPrev = true

@@ -64,30 +64,18 @@ func unpackPS(v uint64) psEntry {
 	return psEntry{structural: v >> 2, counter: int(v & 3)}
 }
 
-// Prefetcher is the Irregular Stream Buffer.
-//
-// The three tables are open-addressed flat maps (internal/flatmap)
-// bounded by FIFO eviction queues. The queues are head-indexed
-// (eviction advances a cursor; push compacts the dead prefix once it
-// outgrows the live region) so steady-state eviction is amortized O(1)
-// without reslicing churn — the same scheme the simulator uses for its
-// MSHR/ROB queues.
+// Prefetcher is the Irregular Stream Buffer. Its three tables are
+// FIFO-bounded flat tables (flatmap.FIFO).
 type Prefetcher struct {
 	cfg Config
 
 	// lastAddr tracks the previous physical line per PC (training unit).
-	lastAddr *flatmap.Map
-	lastFifo []uint64
-	lastHead int
+	lastAddr *flatmap.FIFO
 	// ps maps physical line -> packed psEntry (structural address and
 	// confidence counter).
-	ps     *flatmap.Map
-	psFifo []mem.Line
-	psHead int
+	ps *flatmap.FIFO
 	// sp maps structural address -> physical line.
-	sp     *flatmap.Map
-	spFifo []uint64
-	spHead int
+	sp *flatmap.FIFO
 	// nextStructural is the structural-space allocation cursor.
 	nextStructural uint64
 
@@ -119,101 +107,17 @@ const amcHint = 4096
 
 // Reset implements prefetch.Prefetcher.
 func (p *Prefetcher) Reset() {
-	psHint := p.cfg.AMCSize + 1
-	if psHint > amcHint {
-		psHint = amcHint
+	if p.ps == nil {
+		p.lastAddr = flatmap.NewFIFO(p.cfg.TrainingUnits, p.cfg.TrainingUnits)
+		p.ps = flatmap.NewFIFO(p.cfg.AMCSize, amcHint)
+		p.sp = flatmap.NewFIFO(p.cfg.AMCSize, amcHint)
+	} else {
+		p.lastAddr.Reset()
+		p.ps.Reset()
+		p.sp.Reset()
 	}
-	p.lastAddr = flatmap.New(p.cfg.TrainingUnits + 1)
-	p.lastFifo = fifoBuf(p.lastFifo, p.cfg.TrainingUnits+1)
-	p.lastHead = 0
-	p.ps = flatmap.New(psHint)
-	p.psFifo = fifoBuf(p.psFifo, psHint)
-	p.psHead = 0
-	p.sp = flatmap.New(psHint)
-	p.spFifo = fifoBuf(p.spFifo, psHint)
-	p.spHead = 0
 	// Start allocation at one chunk in, keeping structural 0 unused.
 	p.nextStructural = uint64(p.cfg.StreamChunk)
-}
-
-// fifoBuf returns an empty FIFO buffer of at least the given capacity,
-// reusing buf's allocation when it is already big enough. Pre-sizing
-// matters: the queues otherwise regrow through the whole append
-// doubling ladder on every fresh instance, which used to be a fifth of
-// all experiment allocations.
-func fifoBuf(buf []uint64, capacity int) []uint64 {
-	if cap(buf) >= capacity {
-		return buf[:0]
-	}
-	return make([]uint64, 0, capacity)
-}
-
-// fifoPush appends v to a head-indexed FIFO, first compacting away the
-// dead prefix once it outgrows the live region. All three queues share
-// the uint64 element representation (mem.Line is an alias).
-func fifoPush(buf []uint64, head int, v uint64) ([]uint64, int) {
-	if head > 0 && head >= len(buf)-head {
-		n := copy(buf, buf[head:])
-		buf = buf[:n]
-		head = 0
-	}
-	return append(buf, v), head
-}
-
-// psInsert stores a PS mapping when the caller does not know whether
-// line is already present: a single-probe upsert, with FIFO
-// bookkeeping only when the key turned out to be new.
-func (p *Prefetcher) psInsert(line mem.Line, e psEntry) {
-	if _, existed := p.ps.Swap(line, packPS(e)); existed {
-		return
-	}
-	p.psTrack(line)
-}
-
-// psInsertNew stores a PS mapping the caller has proven absent,
-// evicting the FIFO-oldest entry at capacity.
-func (p *Prefetcher) psInsertNew(line mem.Line, e psEntry) {
-	p.ps.Set(line, packPS(e))
-	p.psTrack(line)
-}
-
-// psTrack records a newly inserted key in the PS FIFO and evicts the
-// oldest mapping at capacity. The new key cannot be the eviction
-// victim: it was absent from the map, hence absent from the live FIFO
-// region, and the push that added it cannot immediately reach the head.
-func (p *Prefetcher) psTrack(line mem.Line) {
-	p.psFifo, p.psHead = fifoPush(p.psFifo, p.psHead, line)
-	if len(p.psFifo)-p.psHead > p.cfg.AMCSize {
-		old := p.psFifo[p.psHead]
-		p.psHead++
-		p.ps.Delete(old)
-	}
-}
-
-// spInsert stores an SP mapping when the caller does not know whether
-// s is already present (single-probe upsert, as psInsert).
-func (p *Prefetcher) spInsert(s uint64, line mem.Line) {
-	if _, existed := p.sp.Swap(s, line); existed {
-		return
-	}
-	p.spTrack(s)
-}
-
-// spInsertNew stores an SP mapping the caller has proven absent,
-// evicting the FIFO-oldest entry at capacity.
-func (p *Prefetcher) spInsertNew(s uint64, line mem.Line) {
-	p.sp.Set(s, line)
-	p.spTrack(s)
-}
-
-// spTrack mirrors psTrack for the SP-AMC.
-func (p *Prefetcher) spTrack(s uint64) {
-	p.spFifo, p.spHead = fifoPush(p.spFifo, p.spHead, s)
-	if len(p.spFifo)-p.spHead > p.cfg.AMCSize {
-		old := p.spFifo[p.spHead]
-		p.spHead++
-		p.sp.Delete(old)
-	}
 }
 
 // allocChunk reserves a fresh structural chunk and returns its base.
@@ -234,56 +138,47 @@ func (p *Prefetcher) train(prev, cur mem.Line) psEntry {
 	case prevMapped && curMapped:
 		pe, ce := unpackPS(pv), unpackPS(cv)
 		if ce.structural == pe.structural+1 {
-			// Mapping confirmed: strengthen. cur is present, so assign
-			// directly — its FIFO position is unchanged.
+			// Mapping confirmed: strengthen. cur is present, so its
+			// FIFO position is unchanged.
 			if ce.counter < 3 {
 				ce.counter++
-				p.ps.Set(cur, packPS(ce))
+				p.ps.Put(cur, packPS(ce))
 			}
 			return ce
 		}
 		// Divergent correlation: weaken; remap when confidence is gone.
 		if ce.counter > 0 {
 			ce.counter--
-			p.ps.Set(cur, packPS(ce))
+			p.ps.Put(cur, packPS(ce))
 			return ce
 		}
-		return p.remap(pe, cur, true)
+		return p.remap(pe, cur)
 	case prevMapped:
-		return p.remap(unpackPS(pv), cur, false)
+		return p.remap(unpackPS(pv), cur)
 	default:
 		// prev unmapped: start a fresh stream chunk with prev at its
-		// base, then place cur right after it. prev is proven absent;
-		// cur must be re-checked because inserting prev can evict it.
-		// The chunk's structural slots are freshly allocated and so
-		// never present in the SP-AMC.
+		// base, then place cur right after it.
 		base := p.allocChunk()
-		p.psInsertNew(prev, psEntry{structural: base, counter: 1})
-		p.spInsertNew(base, prev)
+		p.ps.Put(prev, packPS(psEntry{structural: base, counter: 1}))
+		p.sp.Put(base, prev)
 		e := psEntry{structural: base + 1, counter: 1}
-		p.psInsert(cur, e)
-		p.spInsertNew(base+1, cur)
+		p.ps.Put(cur, packPS(e))
+		p.sp.Put(base+1, cur)
 		return e
 	}
 }
 
 // remap places cur at pe.structural+1, allocating a new chunk when the
-// successor slot would cross the chunk boundary. curMapped tells remap
-// whether cur is currently in the PS-AMC (the caller just looked it up
-// and nothing can evict it before the insert below).
-func (p *Prefetcher) remap(pe psEntry, cur mem.Line, curMapped bool) psEntry {
+// successor slot would cross the chunk boundary.
+func (p *Prefetcher) remap(pe psEntry, cur mem.Line) psEntry {
 	s := pe.structural + 1
 	chunk := uint64(p.cfg.StreamChunk)
 	if s/chunk != pe.structural/chunk {
 		s = p.allocChunk()
 	}
 	e := psEntry{structural: s, counter: 1}
-	if curMapped {
-		p.ps.Set(cur, packPS(e))
-	} else {
-		p.psInsertNew(cur, e)
-	}
-	p.spInsert(s, cur)
+	p.ps.Put(cur, packPS(e))
+	p.sp.Put(s, cur)
 	return e
 }
 
@@ -294,16 +189,7 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	var e psEntry
 	var mapped bool
 	if !a.Hit || a.PrefetchHit {
-		prev, known := p.lastAddr.Get(a.PC)
-		if !known {
-			p.lastFifo, p.lastHead = fifoPush(p.lastFifo, p.lastHead, a.PC)
-			if len(p.lastFifo)-p.lastHead > p.cfg.TrainingUnits {
-				old := p.lastFifo[p.lastHead]
-				p.lastHead++
-				p.lastAddr.Delete(old)
-			}
-		}
-		p.lastAddr.Set(a.PC, a.Line)
+		prev, known := p.lastAddr.Put(a.PC, a.Line)
 		if known && prev != a.Line {
 			e, mapped = p.train(prev, a.Line), true
 		} else {

@@ -14,10 +14,9 @@ type psEntryState struct {
 	Counter    int
 }
 
-// isbState is the gob mirror of the prefetcher's mutable state. Maps
-// are stored in FIFO order so the checkpoint stream does not depend on
-// Go's randomized map iteration (the logical state round-trips either
-// way; FIFO order just keeps the payload stable for equal states).
+// isbState is the gob mirror of the prefetcher's mutable state. Each
+// table is stored as its keys in FIFO order plus a parallel value
+// slice, so the stream depends only on the logical state.
 type isbState struct {
 	LastFifo       []uint64
 	LastAddr       []mem.Line // parallel to LastFifo
@@ -30,29 +29,23 @@ type isbState struct {
 
 // SaveState implements checkpoint.Stater.
 func (p *Prefetcher) SaveState(w io.Writer) error {
-	// Only the live FIFO regions (past the head cursors) are state; the
-	// dead prefixes are an implementation artifact of the head-indexed
-	// queues, so checkpoints stay byte-identical regardless of when the
-	// last compaction happened.
-	st := isbState{
-		LastFifo:       p.lastFifo[p.lastHead:],
-		PSFifo:         p.psFifo[p.psHead:],
-		SPFifo:         p.spFifo[p.spHead:],
-		NextStructural: p.nextStructural,
-	}
-	for _, pc := range st.LastFifo {
-		line, _ := p.lastAddr.Get(pc)
+	st := isbState{NextStructural: p.nextStructural}
+	p.lastAddr.Range(func(pc, line uint64) bool {
+		st.LastFifo = append(st.LastFifo, pc)
 		st.LastAddr = append(st.LastAddr, line)
-	}
-	for _, line := range st.PSFifo {
-		v, _ := p.ps.Get(line)
+		return true
+	})
+	p.ps.Range(func(line, v uint64) bool {
 		e := unpackPS(v)
+		st.PSFifo = append(st.PSFifo, line)
 		st.PS = append(st.PS, psEntryState{Structural: e.structural, Counter: e.counter})
-	}
-	for _, s := range st.SPFifo {
-		line, _ := p.sp.Get(s)
+		return true
+	})
+	p.sp.Range(func(s, line uint64) bool {
+		st.SPFifo = append(st.SPFifo, s)
 		st.SP = append(st.SP, line)
-	}
+		return true
+	})
 	return gob.NewEncoder(w).Encode(st)
 }
 
@@ -66,21 +59,26 @@ func (p *Prefetcher) LoadState(r io.Reader) error {
 	if len(st.LastAddr) != len(st.LastFifo) || len(st.PS) != len(st.PSFifo) || len(st.SP) != len(st.SPFifo) {
 		return fmt.Errorf("isb state: mismatched table lengths")
 	}
-	p.lastFifo, p.lastHead = st.LastFifo, 0
-	p.lastAddr = flatmap.New(len(st.LastFifo))
+	for _, keys := range [][]uint64{st.LastFifo, st.PSFifo, st.SPFifo} {
+		for _, k := range keys {
+			if k == flatmap.Reserved {
+				return fmt.Errorf("isb state: reserved table key")
+			}
+		}
+	}
+	lastAddr := flatmap.NewFIFO(p.cfg.TrainingUnits, p.cfg.TrainingUnits)
 	for i, pc := range st.LastFifo {
-		p.lastAddr.Set(pc, st.LastAddr[i])
+		lastAddr.Put(pc, st.LastAddr[i])
 	}
-	p.psFifo, p.psHead = st.PSFifo, 0
-	p.ps = flatmap.New(len(st.PSFifo))
+	ps := flatmap.NewFIFO(p.cfg.AMCSize, max(len(st.PSFifo), amcHint))
 	for i, line := range st.PSFifo {
-		p.ps.Set(line, packPS(psEntry{structural: st.PS[i].Structural, counter: st.PS[i].Counter}))
+		ps.Put(line, packPS(psEntry{structural: st.PS[i].Structural, counter: st.PS[i].Counter}))
 	}
-	p.spFifo, p.spHead = st.SPFifo, 0
-	p.sp = flatmap.New(len(st.SPFifo))
+	sp := flatmap.NewFIFO(p.cfg.AMCSize, max(len(st.SPFifo), amcHint))
 	for i, s := range st.SPFifo {
-		p.sp.Set(s, st.SP[i])
+		sp.Put(s, st.SP[i])
 	}
+	p.lastAddr, p.ps, p.sp = lastAddr, ps, sp
 	p.nextStructural = st.NextStructural
 	return nil
 }

@@ -12,6 +12,7 @@
 package spp
 
 import (
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 )
@@ -122,8 +123,8 @@ type Prefetcher struct {
 	ghr   []ghrEntry
 	clock uint64
 
-	filter     map[mem.Line]struct{}
-	filterFifo []mem.Line
+	// filter holds the recently issued lines (values unused).
+	filter *flatmap.FIFO
 
 	sugBuf []prefetch.Suggestion
 }
@@ -149,18 +150,30 @@ func (p *Prefetcher) Reset() {
 	p.st = make([]stEntry, p.cfg.STSize)
 	p.pt = make([]ptEntry, p.cfg.PTSize)
 	p.ghr = make([]ghrEntry, p.cfg.GHRSize)
-	p.filter = make(map[mem.Line]struct{}, p.cfg.FilterSize)
-	p.filterFifo = p.filterFifo[:0]
+	if p.filter == nil {
+		p.filter = flatmap.NewFIFO(p.cfg.FilterSize, p.cfg.FilterSize)
+	} else {
+		p.filter.Reset()
+	}
 	p.clock = 0
+}
+
+// wrapNext steps a probe index around a table of n entries: the
+// lookups walk their 4-way windows with it instead of dividing per way.
+func wrapNext(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
 }
 
 // stLookup finds the signature-table entry for a page, allocating over
 // the LRU way of a 4-way probe window on miss.
 func (p *Prefetcher) stLookup(page mem.Page) *stEntry {
-	idx := int(mem.FoldHash(page, 16)) % len(p.st)
+	i := int(mem.FoldHash(page, 16)) % len(p.st)
 	var victim *stEntry
-	for w := 0; w < 4; w++ {
-		e := &p.st[(idx+w)%len(p.st)]
+	for w := 0; w < 4; w, i = w+1, wrapNext(i, len(p.st)) {
+		e := &p.st[i]
 		if e.valid && e.page == page {
 			return e
 		}
@@ -179,10 +192,10 @@ func (p *Prefetcher) stLookup(page mem.Page) *stEntry {
 // ptLookup finds the pattern-table entry for a signature; when alloc is
 // true a miss allocates over the LRU way, otherwise it returns nil.
 func (p *Prefetcher) ptLookup(sig uint16, alloc bool) *ptEntry {
-	idx := int(sig) % len(p.pt)
+	i := int(sig) % len(p.pt)
 	var victim *ptEntry
-	for w := 0; w < 4; w++ {
-		e := &p.pt[(idx+w)%len(p.pt)]
+	for w := 0; w < 4; w, i = w+1, wrapNext(i, len(p.pt)) {
+		e := &p.pt[i]
 		if e.valid && e.sig == sig {
 			return e
 		}
@@ -253,20 +266,6 @@ func (e *ptEntry) best() (int, float64) {
 	return e.deltas[bi].delta, c
 }
 
-func (p *Prefetcher) filterAdd(line mem.Line) bool {
-	if _, ok := p.filter[line]; ok {
-		return false
-	}
-	p.filter[line] = struct{}{}
-	p.filterFifo = append(p.filterFifo, line)
-	if len(p.filterFifo) > p.cfg.FilterSize {
-		old := p.filterFifo[0]
-		p.filterFifo = p.filterFifo[1:]
-		delete(p.filter, old)
-	}
-	return true
-}
-
 // Observe implements prefetch.Prefetcher.
 func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	p.clock++
@@ -329,7 +328,8 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 			break
 		}
 		line := mem.LineOf(mem.PageAddr(page)) + mem.Line(nextOffset)
-		if p.filterAdd(line) {
+		// A line already in the filter is in flight: not suggested again.
+		if _, dup := p.filter.Put(line, 0); !dup {
 			p.sugBuf = append(p.sugBuf, prefetch.Suggestion{Line: line, Confidence: conf})
 		}
 		curSig = updateSig(curSig, delta)

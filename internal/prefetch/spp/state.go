@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 )
 
@@ -48,7 +49,11 @@ type sppState struct {
 
 // SaveState implements checkpoint.Stater.
 func (p *Prefetcher) SaveState(w io.Writer) error {
-	st := sppState{Clock: p.clock, FilterFifo: p.filterFifo}
+	st := sppState{Clock: p.clock}
+	p.filter.Range(func(line, _ uint64) bool {
+		st.FilterFifo = append(st.FilterFifo, line)
+		return true
+	})
 	for _, e := range p.st {
 		st.ST = append(st.ST, stEntryState{Page: e.page, Valid: e.valid, LastOffset: e.lastOffset, Sig: e.sig, LRU: e.lru})
 	}
@@ -66,11 +71,18 @@ func (p *Prefetcher) SaveState(w io.Writer) error {
 }
 
 // LoadState implements checkpoint.Stater; on error the prefetcher is
-// left unchanged. The in-flight filter map is rebuilt from its FIFO.
+// left unchanged. The in-flight filter is rebuilt from its FIFO.
 func (p *Prefetcher) LoadState(r io.Reader) error {
 	var st sppState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return fmt.Errorf("spp state: %w", err)
+	}
+	filter := flatmap.NewFIFO(p.cfg.FilterSize, p.cfg.FilterSize)
+	for _, line := range st.FilterFifo {
+		if line == flatmap.Reserved {
+			return fmt.Errorf("spp state: reserved filter line")
+		}
+		filter.Put(line, 0)
 	}
 	if len(st.ST) != p.cfg.STSize || len(st.PT) != p.cfg.PTSize || len(st.GHR) != p.cfg.GHRSize {
 		return fmt.Errorf("spp state: table sizes %d/%d/%d do not match configured %d/%d/%d",
@@ -90,10 +102,6 @@ func (p *Prefetcher) LoadState(r io.Reader) error {
 		p.ghr[i] = ghrEntry{valid: g.Valid, sig: g.Sig, confidence: g.Confidence, lastOffset: g.LastOffset, delta: g.Delta}
 	}
 	p.clock = st.Clock
-	p.filterFifo = st.FilterFifo
-	p.filter = make(map[mem.Line]struct{}, len(st.FilterFifo))
-	for _, line := range st.FilterFifo {
-		p.filter[line] = struct{}{}
-	}
+	p.filter = filter
 	return nil
 }

@@ -210,14 +210,14 @@ func (s *Service) serve(i int, t *task) {
 	case err == nil:
 		s.stats.completed.Add(1)
 		s.counter("service.requests.completed").Inc()
+		// Seal the service-level spans before the response ships, so a
+		// caller that reads the trace or /metrics once it has its reply
+		// sees the whole request → admission → worker.serve tree, and a
+		// coordinator's stitched trace carries it too. End is
+		// idempotent; the deferred Ends above become no-ops.
+		wsp.End()
+		t.span.End()
 		if t.req.ReturnSpans {
-			// Seal the service-level spans before the response ships so
-			// the coordinator's stitched trace carries the whole
-			// request → admission → worker.serve tree, not just the
-			// run's spans. End is idempotent; the deferred Ends above
-			// become no-ops.
-			wsp.End()
-			t.span.End()
 			resp.Spans = appendSpanRecords(resp.Spans, t.admitSpan, wsp, t.span)
 		}
 		t.finish(status, resp)

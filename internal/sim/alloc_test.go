@@ -1,6 +1,17 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"resemble/internal/core"
+	"resemble/internal/ensemble/sbp"
+	"resemble/internal/prefetch"
+	"resemble/internal/prefetch/bo"
+	"resemble/internal/prefetch/domino"
+	"resemble/internal/prefetch/isb"
+	"resemble/internal/prefetch/spp"
+	"resemble/internal/trace"
+)
 
 // TestStepSteadyStateZeroAlloc pins the hot-path allocation contract
 // (doc.go, "Hot-path allocation discipline"): once the queues and cache
@@ -9,22 +20,36 @@ import "testing"
 // queues and the by-value cache eviction path are what make this hold;
 // a regression here shows up as a nonzero allocs/op long before it
 // shows up in wall-clock benchmarks.
+//
+// The ensemble cases run the real four arms under the tabular and
+// SBP(E) controllers over a repeating pointer-chasing trace, so their
+// tables (arm indexes, Q-table, reward tracker, pending ring, sandbox
+// histories) have reached their working size after the warm-up.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
+	arms := func() []prefetch.Prefetcher {
+		return []prefetch.Prefetcher{
+			bo.New(bo.Config{}), spp.New(spp.Config{}),
+			isb.New(isb.Config{}), domino.New(domino.Config{}),
+		}
+	}
 	for _, tc := range []struct {
 		name string
+		tr   *trace.Trace
 		src  Source
+		warm int
 	}{
-		{"baseline", nil},
-		{"nextline", &nextLineSource{degree: 2}},
+		{"baseline", streamTrace(30000), nil, 20000},
+		{"nextline", streamTrace(30000), &nextLineSource{degree: 2}, 20000},
+		{"resemble-t", repeatingTrace(2000, 40), core.NewTabularController(core.DefaultConfig(), arms()), 70000},
+		{"sbp-e", repeatingTrace(2000, 40), sbp.New(sbp.Config{}, arms()), 70000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := streamTrace(30000)
+			tr := tc.tr
 			s := New(DefaultConfig())
-			const warm = 20000
-			for i := 0; i < warm; i++ {
+			for i := 0; i < tc.warm; i++ {
 				s.step(tr.Records[i], tc.src)
 			}
-			i := warm
+			i := tc.warm
 			allocs := testing.AllocsPerRun(1000, func() {
 				s.step(tr.Records[i], tc.src)
 				i++
@@ -34,4 +59,23 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// repeatingTrace tiles an n-access pointer-chasing trace reps times,
+// keeping instruction IDs increasing across repetitions.
+func repeatingTrace(n, reps int) *trace.Trace {
+	w, err := trace.Lookup("471.omnetpp")
+	if err != nil {
+		panic(err)
+	}
+	base := w.GenerateSeeded(n, w.Seed).Records
+	span := base[len(base)-1].ID + 1
+	out := &trace.Trace{Name: "repeat", Records: make([]trace.Record, 0, n*reps)}
+	for r := 0; r < reps; r++ {
+		for _, rec := range base {
+			rec.ID += uint64(r) * span
+			out.Records = append(out.Records, rec)
+		}
+	}
+	return out
 }

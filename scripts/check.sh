@@ -19,9 +19,13 @@ go vet ./...
 
 echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # The allocation-free serving/step contract (DESIGN.md §13): steady-state
-# simulator stepping and fixed-point forward must not allocate, and
-# Requantize must refresh parameters in place.
-go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc' ./internal/sim/
+# simulator stepping (bare, and under the tabular and SBP(E) ensembles
+# with the real four arms) and fixed-point forward must not allocate,
+# and Requantize must refresh parameters in place. Checkpoint bytes must
+# not depend on map iteration order: two identical runs give identical
+# blobs (the artifact store names them by hash).
+go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic' ./internal/sim/
+go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
 go test -race -count 1 -run 'TestFixedForwardIntoZeroAlloc|TestRequantizeTracksRetrainedWeights' ./internal/nn/
 
 echo "== go test -race (telemetry, sim) =="
