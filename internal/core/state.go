@@ -319,9 +319,9 @@ func (c *TabularController) SaveState(w io.Writer) error {
 		}
 		st.PendingSeqs = append(st.PendingSeqs, seq)
 		st.Pending = append(st.Pending, tabTransitionState{
-			Token: t.token, Action: t.action, NP: t.np,
-			NextTok: t.nextTok, HasNext: t.hasNext,
-			Outstanding: t.outstanding, Acc: t.acc,
+			Token: int(t.token), Action: int(t.action), NP: t.np,
+			NextTok: int(t.nextTok), HasNext: t.hasNext,
+			Outstanding: int(t.outstanding), Acc: t.acc,
 		})
 	}
 	return gob.NewEncoder(w).Encode(st)
@@ -438,9 +438,9 @@ func loadPending(st tabularState, nTokens, nActions int) ([]tabTransition, error
 		delete(records, seq)
 		*slot = tabTransition{
 			seq: seq, live: true,
-			token: p.Token, action: p.Action, np: p.NP,
-			nextTok: p.NextTok, hasNext: p.HasNext,
-			outstanding: p.Outstanding, acc: p.Acc,
+			token: int32(p.Token), action: int32(p.Action), np: p.NP,
+			nextTok: int32(p.NextTok), hasNext: p.HasNext,
+			outstanding: int32(p.Outstanding), acc: p.Acc,
 		}
 	}
 	if len(records) != 0 {

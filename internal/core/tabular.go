@@ -111,15 +111,16 @@ func (c *TabularController) TelemetryStats() telemetry.ControllerStats {
 	}
 }
 
-// tabTransition is one pending-ring slot (bools last, to pack it).
+// tabTransition is one pending-ring slot (32-bit indexes and bools
+// last, to pack it into 40 bytes).
 type tabTransition struct {
 	seq     int
-	token   int
-	action  int
-	nextTok int
+	token   int32
+	action  int32
+	nextTok int32
 	// outstanding counts unresolved issued lines; acc accumulates their
 	// ±1 outcomes (same degree-aware reward as the MLP variant).
-	outstanding int
+	outstanding int32
 	acc         float64
 	live        bool // slot holds an unresolved transition
 	np          bool
@@ -222,13 +223,15 @@ func (c *TabularController) row(tok int) []float64 {
 }
 
 // newPendingRing sizes the pending-transition ring. A prefetching
-// transition resolves within window accesses (its lines hit or expire)
-// and an NP transition one access later, when its successor arrives, so
-// at most window+1 consecutive seqs are pending at once and slot
-// seq&(len-1) is always free when seq is added.
+// transition resolves within window accesses: its unmatched lines
+// expire in the reward resolution of access seq+window, which runs
+// before that access adds its own transition. An NP transition
+// resolves one access later, when its successor arrives. So when seq
+// is added, only seqs in (seq-window, seq] can be pending, and slot
+// seq&(len-1) is always free once len >= window.
 func newPendingRing(window int) []tabTransition {
 	n := 1
-	for n < window+1 {
+	for n < window {
 		n <<= 1
 	}
 	return make([]tabTransition, n)
@@ -279,7 +282,7 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 
 	// Fill the previous transition's successor token.
 	if t := c.pendingAt(c.prevSeq); t != nil && !t.hasNext {
-		t.nextTok = tok
+		t.nextTok = int32(tok)
 		t.hasNext = true
 	}
 
@@ -305,7 +308,7 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 	}
 
 	c.out = c.out[:0]
-	t := tabTransition{seq: seq, token: tok, action: action}
+	t := tabTransition{seq: seq, token: int32(tok), action: int32(action)}
 	if action == c.npAction() || !c.obs[action].Valid {
 		t.np = true
 		c.recordReward(seq, 0)
@@ -316,7 +319,7 @@ func (c *TabularController) OnAccess(a prefetch.AccessContext) []mem.Line {
 			c.out = append(c.out, s.Line)
 			c.tracker.Add(seq, s.Line)
 		}
-		t.outstanding = len(c.out)
+		t.outstanding = int32(len(c.out))
 		c.armIssued[action] += uint64(len(c.out))
 	}
 	c.recordAction(seq, action)
@@ -355,9 +358,9 @@ func (c *TabularController) applyReward(seq int, r float64) {
 func (c *TabularController) update(t *tabTransition, r float64) {
 	var future float64
 	if t.hasNext {
-		future = c.cfg.Gamma * maxf(c.row(t.nextTok))
+		future = c.cfg.Gamma * maxf(c.row(int(t.nextTok)))
 	}
-	qsa := &c.q[t.token*c.na+t.action]
+	qsa := &c.q[int(t.token)*c.na+int(t.action)]
 	if c.hTD != nil {
 		c.hTD.Observe(absf(r + future - *qsa))
 	}

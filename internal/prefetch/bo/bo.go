@@ -102,13 +102,17 @@ func (p *Prefetcher) Name() string { return "bo" }
 // Spatial implements prefetch.Prefetcher: BO predicts within a page.
 func (p *Prefetcher) Spatial() bool { return true }
 
-// Reset implements prefetch.Prefetcher.
+// Reset implements prefetch.Prefetcher. The tables are cleared in
+// place, so a reused prefetcher does not allocate.
 func (p *Prefetcher) Reset() {
-	p.rr = make([]mem.Line, p.cfg.RRSize)
+	if p.rr == nil {
+		p.rr = make([]mem.Line, p.cfg.RRSize)
+		p.scores = make([]int, len(p.cfg.Offsets))
+	}
 	for i := range p.rr {
 		p.rr[i] = ^mem.Line(0)
 	}
-	p.scores = make([]int, len(p.cfg.Offsets))
+	clear(p.scores)
 	p.testIdx = 0
 	p.passes = 0
 	p.bestD = 1 // start with next-line until learning says otherwise

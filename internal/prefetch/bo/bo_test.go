@@ -5,6 +5,7 @@ import (
 
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
+	"resemble/internal/prefetch/prefetchtest"
 )
 
 // access builds a miss context for line l with PC 0x400.
@@ -133,4 +134,8 @@ func TestRelearnsAfterPatternChange(t *testing.T) {
 	if got <= 0 || got%2 != 0 || got == before {
 		t.Errorf("BestOffset = %d (was %d), want a new positive multiple of 2", got, before)
 	}
+}
+
+func TestResetMatchesNew(t *testing.T) {
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm { return New(Config{}) }, nil)
 }

@@ -98,7 +98,7 @@ func (p *Prefetcher) Reset() {
 		p.idx1.Reset()
 		p.idx2.Reset()
 	}
-	p.hasPrev = false
+	p.prev, p.hasPrev = 0, false
 }
 
 func pairKey(a, b mem.Line) uint64 {

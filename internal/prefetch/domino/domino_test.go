@@ -5,6 +5,7 @@ import (
 
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
+	"resemble/internal/prefetch/prefetchtest"
 )
 
 func access(l mem.Line) prefetch.AccessContext {
@@ -118,4 +119,23 @@ func TestNameAndTemporal(t *testing.T) {
 	if p.Name() != "domino" || p.Spatial() {
 		t.Errorf("identity wrong: %q spatial=%v", p.Name(), p.Spatial())
 	}
+}
+
+func TestResetMatchesNew(t *testing.T) {
+	// Default bounds: the run grows both indexes past their pre-size.
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm { return New(Config{}) },
+		func(a prefetchtest.Arm) {
+			p := a.(*Prefetcher)
+			if n := min(p.idx1.Len(), p.idx2.Len()); n <= 2*indexHint*3/4 {
+				t.Fatalf("an index holds %d keys: the long run did not grow it", n)
+			}
+		})
+	// A short log wraps, and small indexes evict.
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm {
+		return New(Config{LogSize: 4096, IndexSize: 512})
+	}, func(a prefetchtest.Arm) {
+		if !a.(*Prefetcher).wrapped {
+			t.Fatal("the long run did not wrap the log")
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
+	"resemble/internal/prefetch/prefetchtest"
 )
 
 func access(pc uint64, l mem.Line) prefetch.AccessContext {
@@ -137,4 +138,19 @@ func TestNameAndTemporal(t *testing.T) {
 	if p.Name() != "isb" || p.Spatial() {
 		t.Errorf("identity wrong: %q spatial=%v", p.Name(), p.Spatial())
 	}
+}
+
+func TestResetMatchesNew(t *testing.T) {
+	// Default bounds: the run grows the AMC tables past their pre-size
+	// (amcHint keys need 2·amcHint slots, filled to 3/4).
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm { return New(Config{}) },
+		func(a prefetchtest.Arm) {
+			if n := a.(*Prefetcher).ps.Len(); n <= 2*amcHint*3/4 {
+				t.Fatalf("PS-AMC holds %d keys: the long run did not grow the table", n)
+			}
+		})
+	// Small bounds: the tables evict.
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm {
+		return New(Config{AMCSize: 1024, TrainingUnits: 2})
+	}, nil)
 }

@@ -105,6 +105,11 @@ type ptEntry struct {
 	sigCnt int
 	deltas []ptDelta
 	lru    uint64
+	// bestDelta and bestConf cache the strongest delta and its
+	// confidence (see refreshBest), kept current wherever deltas or
+	// sigCnt change, so the lookahead walk reads them per step.
+	bestDelta int
+	bestConf  float64
 }
 
 type ghrEntry struct {
@@ -145,14 +150,21 @@ func (p *Prefetcher) Name() string { return "spp" }
 // output stays in the neighbourhood of the trigger).
 func (p *Prefetcher) Spatial() bool { return true }
 
-// Reset implements prefetch.Prefetcher.
+// Reset implements prefetch.Prefetcher. The tables are cleared in
+// place (pattern entries keep their delta buffers), so a reused
+// prefetcher does not allocate.
 func (p *Prefetcher) Reset() {
-	p.st = make([]stEntry, p.cfg.STSize)
-	p.pt = make([]ptEntry, p.cfg.PTSize)
-	p.ghr = make([]ghrEntry, p.cfg.GHRSize)
-	if p.filter == nil {
+	if p.st == nil {
+		p.st = make([]stEntry, p.cfg.STSize)
+		p.pt = make([]ptEntry, p.cfg.PTSize)
+		p.ghr = make([]ghrEntry, p.cfg.GHRSize)
 		p.filter = flatmap.NewFIFO(p.cfg.FilterSize, p.cfg.FilterSize)
 	} else {
+		clear(p.st)
+		for i := range p.pt {
+			p.pt[i] = ptEntry{deltas: p.pt[i].deltas[:0]}
+		}
+		clear(p.ghr)
 		p.filter.Reset()
 	}
 	p.clock = 0
@@ -210,7 +222,7 @@ func (p *Prefetcher) ptLookup(sig uint16, alloc bool) *ptEntry {
 	if !alloc {
 		return nil
 	}
-	*victim = ptEntry{sig: sig, valid: true}
+	*victim = ptEntry{sig: sig, valid: true, deltas: victim.deltas[:0]}
 	return victim
 }
 
@@ -246,12 +258,15 @@ func (e *ptEntry) train(delta, counterMax, maxDeltas int) {
 			e.deltas[i].count = e.deltas[i].count / 2
 		}
 	}
+	e.refreshBest()
 }
 
-// best returns the strongest delta and its confidence in [0,1].
-func (e *ptEntry) best() (int, float64) {
+// refreshBest recomputes the strongest delta (the first of equal
+// counts) and its confidence in [0,1].
+func (e *ptEntry) refreshBest() {
 	if len(e.deltas) == 0 || e.sigCnt == 0 {
-		return 0, 0
+		e.bestDelta, e.bestConf = 0, 0
+		return
 	}
 	bi := 0
 	for i := range e.deltas {
@@ -263,7 +278,7 @@ func (e *ptEntry) best() (int, float64) {
 	if c > 1 {
 		c = 1
 	}
-	return e.deltas[bi].delta, c
+	e.bestDelta, e.bestConf = e.deltas[bi].delta, c
 }
 
 // Observe implements prefetch.Prefetcher.
@@ -312,7 +327,7 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 		if pt == nil {
 			break
 		}
-		delta, c := pt.best()
+		delta, c := pt.bestDelta, pt.bestConf
 		if delta == 0 || c == 0 {
 			break
 		}

@@ -1,10 +1,12 @@
 package spp
 
 import (
+	"bytes"
 	"testing"
 
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
+	"resemble/internal/prefetch/prefetchtest"
 )
 
 func access(l mem.Line) prefetch.AccessContext {
@@ -175,5 +177,74 @@ func TestSignatureUpdate(t *testing.T) {
 	// Negative deltas must be representable too.
 	if updateSig(0, -1) == updateSig(0, 1) {
 		t.Error("negative delta aliases positive delta")
+	}
+}
+
+func TestResetMatchesNew(t *testing.T) {
+	prefetchtest.ResetMatchesNew(t, func() prefetchtest.Arm { return New(Config{}) }, nil)
+}
+
+// TestBestStaysCurrent: each pattern entry's cached strongest delta and
+// confidence must equal a scan of its deltas (the first of equal counts,
+// count/sigCnt clamped to 1) after every access, through counter
+// halvings and entry replacement, and after a LoadState round trip.
+func TestBestStaysCurrent(t *testing.T) {
+	scan := func(e *ptEntry) (int, float64) {
+		if len(e.deltas) == 0 || e.sigCnt == 0 {
+			return 0, 0
+		}
+		bi := 0
+		for i, d := range e.deltas {
+			if d.count > e.deltas[bi].count {
+				bi = i
+			}
+		}
+		return e.deltas[bi].delta, min(1, float64(e.deltas[bi].count)/float64(e.sigCnt))
+	}
+	check := func(p *Prefetcher, step string) {
+		t.Helper()
+		for i := range p.pt {
+			e := &p.pt[i]
+			if d, c := scan(e); e.bestDelta != d || e.bestConf != c {
+				t.Fatalf("%s: entry %d caches (%d, %v), scan gives (%d, %v)", step, i, e.bestDelta, e.bestConf, d, c)
+			}
+		}
+	}
+	for _, cfg := range []Config{{}, {PTSize: 64, CounterMax: 3}} {
+		p := New(cfg)
+		for i, a := range prefetchtest.Accesses(1, 20000) {
+			p.Observe(a)
+			if i%97 == 0 {
+				check(p, "observe")
+			}
+		}
+		check(p, "end of run")
+		var buf bytes.Buffer
+		if err := p.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		q := New(cfg)
+		if err := q.LoadState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		check(q, "LoadState")
+	}
+}
+
+// TestPTReplacementStartsEmpty: a pattern entry allocated over a
+// victim keeps none of the victim's deltas, counts or cached best.
+func TestPTReplacementStartsEmpty(t *testing.T) {
+	p := New(Config{})
+	// Signatures congruent mod PTSize share one 4-way probe window.
+	for i, sig := range []uint16{1, 513, 1025, 1537} {
+		e := p.ptLookup(sig, true)
+		e.lru = uint64(i + 1)
+		for d := 1; d <= 4; d++ {
+			e.train(d, 15, 4)
+		}
+	}
+	e := p.ptLookup(2049, true)
+	if e.sig != 2049 || len(e.deltas) != 0 || e.sigCnt != 0 || e.bestDelta != 0 || e.bestConf != 0 {
+		t.Fatalf("replacement entry = %+v, want a fresh entry for signature 2049", *e)
 	}
 }

@@ -96,6 +96,7 @@ func (p *Prefetcher) LoadState(r io.Reader) error {
 		for _, d := range e.Deltas {
 			pe.deltas = append(pe.deltas, ptDelta{delta: d.Delta, count: d.Count})
 		}
+		pe.refreshBest()
 		p.pt[i] = pe
 	}
 	for i, g := range st.GHR {

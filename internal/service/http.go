@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -164,48 +165,10 @@ func unavailable(w http.ResponseWriter, msg string) {
 
 // handleRun validates, admits and awaits one simulation request.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if req.Workload == "" || req.Controller == "" {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "workload and controller are required"})
-		return
-	}
-	if _, err := trace.Lookup(req.Workload); err != nil {
+	req, err := s.decodeRun(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 		return
-	}
-	if !validController(req.Controller) {
-		writeJSON(w, http.StatusBadRequest,
-			Response{Error: fmt.Sprintf("unknown controller %q (want one of %v)", req.Controller, Controllers())})
-		return
-	}
-	if req.Accesses == 0 {
-		req.Accesses = s.cfg.DefaultAccesses
-	}
-	if req.Accesses < 0 || req.Accesses > s.cfg.MaxAccesses {
-		writeJSON(w, http.StatusBadRequest,
-			Response{Error: fmt.Sprintf("accesses %d out of range [1,%d]", req.Accesses, s.cfg.MaxAccesses)})
-		return
-	}
-	if req.FixedFrac > 14 {
-		writeJSON(w, http.StatusBadRequest,
-			Response{Error: fmt.Sprintf("fixed_frac %d out of range [0,14]", req.FixedFrac)})
-		return
-	}
-	if req.ResumeFrom != "" {
-		if s.cfg.Store == nil {
-			writeJSON(w, http.StatusBadRequest,
-				Response{Error: "resume_from requires an artifact store (service has none attached)"})
-			return
-		}
-		if _, err := cas.ParseID(req.ResumeFrom); err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				Response{Error: "bad resume_from: " + err.Error()})
-			return
-		}
 	}
 
 	// A coordinator propagating its trace context parents this
@@ -230,6 +193,45 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		t.cancel()
 		writeJSON(w, http.StatusGatewayTimeout, Response{Error: "client cancelled"})
 	}
+}
+
+// decodeRun parses and validates a /v1/run body. An accepted request
+// names a known workload and controller, asks for 1..MaxAccesses
+// accesses (0 selects DefaultAccesses), has fixed_frac <= 14, and
+// carries a resume_from only when a store is attached and the ID
+// parses. The error text is the 400 response's message.
+func (s *Service) decodeRun(body io.Reader) (Request, error) {
+	var req Request
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return Request{}, fmt.Errorf("bad request body: %w", err)
+	}
+	if req.Workload == "" || req.Controller == "" {
+		return Request{}, errors.New("workload and controller are required")
+	}
+	if _, err := trace.Lookup(req.Workload); err != nil {
+		return Request{}, err
+	}
+	if !validController(req.Controller) {
+		return Request{}, fmt.Errorf("unknown controller %q (want one of %v)", req.Controller, Controllers())
+	}
+	if req.Accesses == 0 {
+		req.Accesses = s.cfg.DefaultAccesses
+	}
+	if req.Accesses < 1 || req.Accesses > s.cfg.MaxAccesses {
+		return Request{}, fmt.Errorf("accesses %d out of range [1,%d]", req.Accesses, s.cfg.MaxAccesses)
+	}
+	if req.FixedFrac > 14 {
+		return Request{}, fmt.Errorf("fixed_frac %d out of range [0,14]", req.FixedFrac)
+	}
+	if req.ResumeFrom != "" {
+		if s.cfg.Store == nil {
+			return Request{}, errors.New("resume_from requires an artifact store (service has none attached)")
+		}
+		if _, err := cas.ParseID(req.ResumeFrom); err != nil {
+			return Request{}, fmt.Errorf("bad resume_from: %w", err)
+		}
+	}
+	return req, nil
 }
 
 // admit sequences the request into the bounded queue under the

@@ -218,6 +218,27 @@ func newArm(name string) (prefetch.Prefetcher, error) {
 	return nil, fmt.Errorf("service: unknown arm %q", name)
 }
 
+// armSet is one worker's ensemble arms, keyed by arm name. The worker
+// builds an arm on first use and resets it in place for every later
+// request, so serving does not rebuild the arms' tables per request.
+// Only its worker touches it, one request at a time; a worker that
+// panics drops it, and the replacement loop starts with an empty set.
+// The nil set builds fresh arms (the BuildSource path).
+type armSet map[string]prefetch.Prefetcher
+
+// arm returns the named arm in its just-constructed state.
+func (a armSet) arm(name string) (prefetch.Prefetcher, error) {
+	if p := a[name]; p != nil {
+		p.Reset()
+		return p, nil
+	}
+	p, err := newArm(name)
+	if err == nil && a != nil {
+		a[name] = p
+	}
+	return p, err
+}
+
 // Controllers lists the accepted request controllers: the ensemble
 // controllers, the individual arms, and "none" (baseline).
 func Controllers() []string {
@@ -272,6 +293,14 @@ type Service struct {
 
 	ln  net.Listener
 	srv *http.Server
+
+	// unused holds the connections that have not carried a request yet
+	// (http.StateNew). Shutdown counts such a connection as active
+	// until it is 5 s old, so a spare connection a client's transport
+	// dialed would hold the drain past its shutdown deadline; drain
+	// closes them once the listener is closed (closeUnused).
+	unusedMu sync.Mutex
+	unused   map[net.Conn]struct{}
 
 	pprofAddr string       // bound pprof listen address (empty when off)
 	pprofSrv  *http.Server // shut down on drain
@@ -599,7 +628,10 @@ func (s *Service) Start() error {
 		return fmt.Errorf("service: %w", err)
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.unused = make(map[net.Conn]struct{})
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second,
+		ConnState: s.trackUnused}
+	s.srv.RegisterOnShutdown(s.closeUnused)
 	go func() {
 		defer close(s.httpDone)
 		// http.ErrServerClosed is the normal shutdown path.
@@ -637,6 +669,29 @@ func (s *Service) Start() error {
 	s.cfg.Logf("service: ready on %s (%d workers, queue %d)",
 		s.Addr(), s.cfg.Workers, s.cfg.QueueDepth)
 	return nil
+}
+
+// trackUnused is the server's ConnState hook: it keeps the set of
+// connections that have not carried a request.
+func (s *Service) trackUnused(c net.Conn, st http.ConnState) {
+	s.unusedMu.Lock()
+	defer s.unusedMu.Unlock()
+	if st == http.StateNew {
+		s.unused[c] = struct{}{}
+	} else {
+		delete(s.unused, c)
+	}
+}
+
+// closeUnused closes every connection that has not carried a request.
+// Shutdown runs it after closing the listener; such a connection has
+// no request to finish, and the draining service would refuse one.
+func (s *Service) closeUnused() {
+	s.unusedMu.Lock()
+	defer s.unusedMu.Unlock()
+	for c := range s.unused {
+		c.Close()
+	}
 }
 
 // Drain gracefully stops the service: admission closes (new requests

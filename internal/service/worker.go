@@ -87,7 +87,9 @@ func (s *Service) startWorker(i int) {
 // A panic escaping a task is the supervision path: the task has
 // already been answered (see serve's recover), the loop logs the
 // crash and a replacement loop starts after a backoff delay — the
-// drain WaitGroup slot transfers to the replacement.
+// drain WaitGroup slot transfers to the replacement. The loop owns the
+// worker's arm set; a crash drops it with the loop, so the replacement
+// never reuses arms a panic may have left half-updated.
 func (s *Service) workerLoop(i, crashes int) {
 	defer func() {
 		r := recover()
@@ -113,12 +115,13 @@ func (s *Service) workerLoop(i, crashes int) {
 			s.workerLoop(i, crashes+1)
 		}()
 	}()
+	arms := armSet{}
 	for {
 		t, ok := s.queue.Pop(context.Background())
 		if !ok {
 			return // closed and fully drained
 		}
-		s.serve(i, t)
+		s.serve(i, t, arms)
 		crashes = 0
 	}
 }
@@ -160,9 +163,10 @@ func (s *Service) watchdog() {
 	}
 }
 
-// serve runs one admitted task end to end. Panics are answered as 500
-// and then re-raised so the supervision layer restarts the worker.
-func (s *Service) serve(i int, t *task) {
+// serve runs one admitted task end to end on the worker's arms.
+// Panics are answered as 500 and then re-raised so the supervision
+// layer restarts the worker.
+func (s *Service) serve(i int, t *task, arms armSet) {
 	began := time.Now()
 	wsp := t.span.Child("worker.serve")
 	defer func() {
@@ -205,7 +209,7 @@ func (s *Service) serve(i int, t *task) {
 	}
 	s.cfg.Chaos.slow(t.ctx)
 
-	resp, status, err := s.simulate(t)
+	resp, status, err := s.simulate(t, arms)
 	switch {
 	case err == nil:
 		s.stats.completed.Add(1)
@@ -240,10 +244,11 @@ func (s *Service) timeout(t *task) {
 		Response{Error: fmt.Sprintf("deadline exceeded after %s", s.cfg.RequestTimeout)})
 }
 
-// simulate builds the trace and source for the request and runs it on
-// an isolated telemetry child, reporting arm health to the breakers.
-// The returned status accompanies a non-nil error.
-func (s *Service) simulate(t *task) (Response, int, error) {
+// simulate builds the trace and source for the request from the
+// worker's arms and runs it on an isolated telemetry child, reporting
+// arm health to the breakers. The returned status accompanies a
+// non-nil error.
+func (s *Service) simulate(t *task, arms armSet) (Response, int, error) {
 	if s.cfg.Chaos.shouldPanic() {
 		panic("chaos: injected worker panic")
 	}
@@ -255,7 +260,7 @@ func (s *Service) simulate(t *task) (Response, int, error) {
 	tr := s.cfg.Traces.Get(w, req.Accesses, w.Seed+req.Seed)
 	tr = s.cfg.Chaos.wrapTrace(tr)
 
-	src, probe, armIdx, excluded, err := s.buildSource(req)
+	src, probe, armIdx, excluded, err := s.buildSourceFrom(req, arms)
 	if err != nil {
 		var unavail errUnavailable
 		if errors.As(err, &unavail) {
@@ -336,11 +341,12 @@ func (s *Service) simulate(t *task) (Response, int, error) {
 	if errors.Is(err, sim.ErrBadResume) {
 		// The snapshot was unusable (corrupt container, or a scope for a
 		// different run). After ErrBadResume the source and collector
-		// state is unspecified, so rebuild both and run from scratch —
-		// the determinism contract makes that merely slower, never wrong.
+		// state is unspecified, so rebuild both (resetting the arms)
+		// and run from scratch — the determinism contract makes that
+		// merely slower, never wrong.
 		s.noteResumeFallback(resumedFrom, err)
 		resumedFrom = ""
-		src, probe, armIdx, excluded, err = s.buildSource(req)
+		src, probe, armIdx, excluded, err = s.buildSourceFrom(req, arms)
 		if err != nil {
 			var unavail errUnavailable
 			if errors.As(err, &unavail) {
@@ -463,10 +469,12 @@ func (s *Service) noteResumeFallback(from string, err error) {
 
 // BuildSource builds the prefetch source the service would simulate
 // for req, through the same breaker admission as the serving path
-// (nil source for the "none" baseline). A never-started Service with
-// identical configuration serves as the batch reference: its breakers
-// are all closed, so construction matches a serial sim.Runner setup —
-// the soak harness uses this for the byte-identity check.
+// (nil source for the "none" baseline). Its arms are always freshly
+// built, never a worker's, so it stays an independent reference for
+// the serving path. A never-started Service with identical
+// configuration serves as the batch reference: its breakers are all
+// closed, so construction matches a serial sim.Runner setup — the
+// soak harness uses this for the byte-identity check.
 func (s *Service) BuildSource(req Request) (sim.Source, []string, error) {
 	src, _, _, excluded, err := s.buildSource(req)
 	return src, excluded, err
@@ -478,12 +486,18 @@ type errUnavailable struct{ msg string }
 
 func (e errUnavailable) Error() string { return e.msg }
 
-// buildSource constructs the request's prefetch source, excluding
-// ensemble arms whose breakers refuse admission. The returned armIdx
-// maps the built source's arm positions back to arm names so the
-// end-of-run masking report reaches the right breaker; probe is nil
-// for sources without a masking signal.
+// buildSource constructs the request's prefetch source from fresh
+// arms.
 func (s *Service) buildSource(req Request) (src sim.Source, probe maskProbe, armIdx []string, excluded []string, err error) {
+	return s.buildSourceFrom(req, nil)
+}
+
+// buildSourceFrom constructs the request's prefetch source from arms,
+// excluding ensemble arms whose breakers refuse admission. The
+// returned armIdx maps the built source's arm positions back to arm
+// names so the end-of-run masking report reaches the right breaker;
+// probe is nil for sources without a masking signal.
+func (s *Service) buildSourceFrom(req Request, arms armSet) (src sim.Source, probe maskProbe, armIdx []string, excluded []string, err error) {
 	// Solo arms and the baseline first.
 	switch req.Controller {
 	case "none":
@@ -493,7 +507,7 @@ func (s *Service) buildSource(req Request) (src sim.Source, probe maskProbe, arm
 			return nil, nil, nil, nil,
 				errUnavailable{fmt.Sprintf("arm %q circuit breaker is open", req.Controller)}
 		}
-		p, aerr := newArm(req.Controller)
+		p, aerr := arms.arm(req.Controller)
 		if aerr != nil {
 			return nil, nil, nil, nil, aerr
 		}
@@ -502,35 +516,35 @@ func (s *Service) buildSource(req Request) (src sim.Source, probe maskProbe, arm
 	}
 
 	// Ensemble controllers: admit each arm through its breaker.
-	var arms []prefetch.Prefetcher
+	var inputs []prefetch.Prefetcher
 	for _, name := range ArmNames() {
 		if !s.breakers[name].Allow() {
 			excluded = append(excluded, name)
 			continue
 		}
-		p, aerr := newArm(name)
+		p, aerr := arms.arm(name)
 		if aerr != nil {
 			return nil, nil, nil, nil, aerr
 		}
-		arms = append(arms, s.cfg.Chaos.wrapArm(name, p))
+		inputs = append(inputs, s.cfg.Chaos.wrapArm(name, p))
 		armIdx = append(armIdx, name)
 	}
-	if len(arms) == 0 {
+	if len(inputs) == 0 {
 		return nil, nil, nil, nil,
 			errUnavailable{"all ensemble arms' circuit breakers are open"}
 	}
 
 	switch req.Controller {
 	case "resemble":
-		ctl := core.NewController(s.controllerConfig(req), arms)
+		ctl := core.NewController(s.controllerConfig(req), inputs)
 		return ctl, ctl, armIdx, excluded, nil
 	case "resemble-t":
 		cfg := s.controllerConfig(req)
 		cfg.TableHashBits = 8
-		ctl := core.NewTabularController(cfg, arms)
+		ctl := core.NewTabularController(cfg, inputs)
 		return ctl, ctl, armIdx, excluded, nil
 	case "sbp-e":
-		return sbp.New(sbp.Config{}, arms), nil, armIdx, excluded, nil
+		return sbp.New(sbp.Config{}, inputs), nil, armIdx, excluded, nil
 	default:
 		return nil, nil, nil, nil, fmt.Errorf("unknown controller %q (want one of %v)",
 			req.Controller, Controllers())

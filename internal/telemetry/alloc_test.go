@@ -104,22 +104,27 @@ func TestStartAllocPhaseAggregates(t *testing.T) {
 }
 
 func TestMergeFoldsPhaseAllocs(t *testing.T) {
+	// The ballast must be a large object (over 32 KiB). The runtime
+	// counts a small object in /gc/heap/allocs only when its mcache
+	// span is refilled, which a phase holding a few small allocations
+	// may never reach; a large object is counted as it is allocated.
+	const size = 1 << 16
 	parent, err := New(Config{AllocAttribution: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := parent.StartSpan("t", "shared.phase")
-	_ = ballast(1 << 12)
+	_ = ballast(size)
 	sp.End()
 
 	ch := parent.Child()
 	for i := 0; i < 2; i++ {
 		sp := ch.StartSpan("t", "shared.phase")
-		_ = ballast(1 << 12)
+		_ = ballast(size)
 		sp.End()
 	}
 	cp := ch.StartAllocPhase("child.only")
-	_ = ballast(1 << 12)
+	_ = ballast(size)
 	cp.End()
 	parent.Merge(ch)
 

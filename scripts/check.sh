@@ -23,8 +23,13 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # with the real four arms) and fixed-point forward must not allocate,
 # and Requantize must refresh parameters in place. Checkpoint bytes must
 # not depend on map iteration order: two identical runs give identical
-# blobs (the artifact store names them by hash).
+# blobs (the artifact store names them by hash). A service worker reuses
+# its prefetcher arms across requests (DESIGN.md §9): every arm's Reset
+# must leave it byte-identical to a new one, and a warm request's source
+# construction must not rebuild the arms' tables.
 go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic' ./internal/sim/
+go test -race -count 1 -run 'TestResetMatchesNew' ./internal/prefetch/...
+go test -race -count 1 -run 'TestWarmSourceAllocs' ./internal/service/
 go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
 go test -race -count 1 -run 'TestFixedForwardIntoZeroAlloc|TestRequantizeTracksRetrainedWeights' ./internal/nn/
 
