@@ -171,6 +171,7 @@ type Front struct {
 
 	ln       net.Listener
 	srv      *http.Server
+	unused   resilience.UnusedConns // closed by the HTTP shutdown
 	httpDone chan struct{}
 
 	state atomic.Int32 // service.State
@@ -216,11 +217,11 @@ func New(cfg Config) (*Front, error) {
 		budget: &resilience.Budget{Capacity: cfg.RetryBudget, Ratio: 0.1},
 		// Per-request contexts bound the round trips. The dedicated
 		// transport keeps the front's keep-alive pool out of
-		// http.DefaultTransport: sharing a pool with other backend
-		// clients (the health prober, tests) races their dials, and a
-		// dial that loses the race parks a connection the backend sees
-		// as new-but-silent — which srv.Shutdown cannot reap and stalls
-		// on until its deadline.
+		// http.DefaultTransport, so the idle connections Drain
+		// releases are the front's own. (A dial race in a shared pool
+		// can park a connection that never carries a request; both the
+		// backends and the front close those at shutdown, see
+		// resilience.UnusedConns.)
 		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		httpDone: make(chan struct{}),
 		tokens:   make(chan struct{}, cfg.MaxInFlight),
@@ -280,6 +281,7 @@ func (f *Front) Start() error {
 	}
 	f.ln = ln
 	f.srv = &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	f.unused.Install(f.srv)
 	go func() {
 		defer close(f.httpDone)
 		if serr := f.srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {

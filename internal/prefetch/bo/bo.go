@@ -169,23 +169,24 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 }
 
 // learn advances the offset-scoring state machine by one trigger.
+// Between commits only the tested offset's score grows, by at most one
+// per trigger, and every score starts below ScoreMax (LoadState rejects
+// snapshots that break this), so the tested score alone tells whether
+// a score has saturated.
 func (p *Prefetcher) learn(line mem.Line) {
-	d := p.cfg.Offsets[p.testIdx]
-	base := int64(line) - int64(d)
+	i := p.testIdx
+	base := int64(line) - int64(p.cfg.Offsets[i])
 	if base >= 0 && p.rrHit(mem.Line(base)) {
-		p.scores[p.testIdx]++
+		p.scores[i]++
 	}
+	endPhase := p.scores[i] >= p.cfg.ScoreMax
 	p.testIdx++
-	endPhase := false
 	if p.testIdx == len(p.cfg.Offsets) {
 		p.testIdx = 0
 		p.passes++
 		if p.passes >= p.cfg.RoundMax {
 			endPhase = true
 		}
-	}
-	if best := maxScore(p.scores); best >= p.cfg.ScoreMax {
-		endPhase = true
 	}
 	if endPhase {
 		p.commitRound()
@@ -219,13 +220,3 @@ func (p *Prefetcher) commitRound() {
 // BestOffset exposes the currently selected offset (0 when disabled);
 // used by tests and the experiments' diagnostics.
 func (p *Prefetcher) BestOffset() int { return p.bestD }
-
-func maxScore(s []int) int {
-	m := 0
-	for _, v := range s {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

@@ -124,18 +124,20 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 		return nil
 	}
 
-	// Predict before logging the current miss so the match reflects
-	// history up to (but excluding) this event, then replay successors.
+	// Index the miss first: each index is probed once, and Put returns
+	// the position the key held before, which is the replay point. The
+	// log is appended only after predicting, so logValid and the
+	// pos == logAt stop see history up to (but excluding) this miss.
+	pos := p.logAt
 	var replayPos, found = -1, false
+	prev1, ok1 := p.idx1.Put(a.Line, uint64(pos))
 	if p.hasPrev {
-		if pos, ok := p.idx2.Get(pairKey(p.prev, a.Line)); ok && p.logValid(int(pos)) {
-			replayPos, found = int(pos), true
+		if prev2, ok := p.idx2.Put(pairKey(p.prev, a.Line), uint64(pos)); ok && p.logValid(int(prev2)) {
+			replayPos, found = int(prev2), true
 		}
 	}
-	if !found {
-		if pos, ok := p.idx1.Get(a.Line); ok && p.logValid(int(pos)) {
-			replayPos, found = int(pos), true
-		}
+	if !found && ok1 && p.logValid(int(prev1)) {
+		replayPos, found = int(prev1), true
 	}
 	if found {
 		conf := 0.5
@@ -155,8 +157,7 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 		}
 	}
 
-	// Log the miss and index it.
-	pos := p.logAt
+	// Log the miss.
 	if p.wrapped {
 		p.log[pos] = a.Line
 	} else {
@@ -166,10 +167,6 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	if p.logAt == p.cfg.LogSize {
 		p.logAt = 0
 		p.wrapped = true
-	}
-	p.idx1.Put(a.Line, uint64(pos))
-	if p.hasPrev {
-		p.idx2.Put(pairKey(p.prev, a.Line), uint64(pos))
 	}
 	p.prev = a.Line
 	p.hasPrev = true

@@ -1,7 +1,8 @@
 // Package prefetchtest holds test helpers shared by the prefetcher
-// packages: a synthetic LLC access stream and the Reset ≡ New check
-// that lets a long-lived owner (a service worker) reuse a prefetcher
-// across runs instead of rebuilding it.
+// packages: a synthetic LLC access stream, the Reset ≡ New check that
+// lets a long-lived owner (a service worker) reuse a prefetcher across
+// runs instead of rebuilding it, and the differential check that holds
+// an optimized arm to a reference model of its earlier code.
 package prefetchtest
 
 import (
@@ -132,4 +133,55 @@ func ResetMatchesNew(t *testing.T, fresh func() Arm, grown func(Arm)) {
 		t.Fatal(err)
 	}
 	check("reset after LoadState", used)
+}
+
+// SameRun feeds accesses to arm and ref and fails unless each access
+// yields the same suggestions from both and the two end with the same
+// SaveState bytes.
+func SameRun(t testing.TB, arm, ref Arm, accesses []prefetch.AccessContext) {
+	t.Helper()
+	for i, a := range accesses {
+		got := arm.Observe(a)
+		want := ref.Observe(a)
+		if len(got) != len(want) {
+			t.Fatalf("access %d (%+v): %d suggestions, reference gave %d: %+v vs %+v", i, a, len(got), len(want), got, want)
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("access %d (%+v): suggestion %d = %+v, reference gave %+v", i, a, j, got[j], want[j])
+			}
+		}
+	}
+	if !bytes.Equal(state(t, arm), state(t, ref)) {
+		t.Fatal("SaveState bytes differ from the reference's")
+	}
+}
+
+// Differential holds an arm to a reference model of the same
+// prefetcher (typically the code an optimization replaced). Fresh
+// copies of both run the first half of accesses under SameRun. The
+// arm's snapshot is then loaded into a second pair, which must save it
+// back unchanged and run the second half under SameRun, as must the
+// uninterrupted first pair; the resumed arm must end in the state of
+// the uninterrupted one.
+func Differential(t *testing.T, arm, ref func() Arm, accesses []prefetch.AccessContext) {
+	t.Helper()
+	first, second := accesses[:len(accesses)/2], accesses[len(accesses)/2:]
+	a, r := arm(), ref()
+	SameRun(t, a, r, first)
+	snap := state(t, a)
+	la, lr := arm(), ref()
+	for _, p := range []Arm{la, lr} {
+		if err := p.LoadState(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(state(t, p), snap) {
+			t.Fatal("LoadState then SaveState does not reproduce the snapshot")
+		}
+	}
+	SameRun(t, a, r, second)
+	SameRun(t, la, lr, second)
+	if !bytes.Equal(state(t, la), state(t, a)) {
+		t.Fatal("the resumed arm ends in a different state from the uninterrupted one")
+	}
 }

@@ -12,7 +12,6 @@
 package spp
 
 import (
-	"resemble/internal/flatmap"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 )
@@ -128,8 +127,8 @@ type Prefetcher struct {
 	ghr   []ghrEntry
 	clock uint64
 
-	// filter holds the recently issued lines (values unused).
-	filter *flatmap.FIFO
+	// filter holds the recently issued lines.
+	filter *filter
 
 	sugBuf []prefetch.Suggestion
 }
@@ -158,14 +157,14 @@ func (p *Prefetcher) Reset() {
 		p.st = make([]stEntry, p.cfg.STSize)
 		p.pt = make([]ptEntry, p.cfg.PTSize)
 		p.ghr = make([]ghrEntry, p.cfg.GHRSize)
-		p.filter = flatmap.NewFIFO(p.cfg.FilterSize, p.cfg.FilterSize)
+		p.filter = newFilter(p.cfg.FilterSize)
 	} else {
 		clear(p.st)
 		for i := range p.pt {
 			p.pt[i] = ptEntry{deltas: p.pt[i].deltas[:0]}
 		}
 		clear(p.ghr)
-		p.filter.Reset()
+		p.filter.reset()
 	}
 	p.clock = 0
 }
@@ -318,7 +317,12 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	// by WalkDepth, which (a) sets the steady-state prefetch distance
 	// (filtered duplicates are skipped until the frontier is reached)
 	// and (b) guarantees termination when an oscillating delta pattern
-	// cycles within the page at saturated confidence.
+	// cycles within the page at saturated confidence. The walk stays in
+	// the trigger's page, so one read of the page's filter bitmap, at
+	// the first step that reaches the filter, answers every step's
+	// membership test.
+	var filtered uint64
+	loaded := false
 	conf := 1.0
 	curSig := sig
 	curOffset := offset
@@ -344,7 +348,11 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 		}
 		line := mem.LineOf(mem.PageAddr(page)) + mem.Line(nextOffset)
 		// A line already in the filter is in flight: not suggested again.
-		if _, dup := p.filter.Put(line, 0); !dup {
+		if !loaded {
+			filtered, loaded = p.filter.bits(page), true
+		}
+		if filtered&lineBit(line) == 0 {
+			filtered = p.filter.add(line, filtered)
 			p.sugBuf = append(p.sugBuf, prefetch.Suggestion{Line: line, Confidence: conf})
 		}
 		curSig = updateSig(curSig, delta)

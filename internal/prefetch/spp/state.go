@@ -49,11 +49,7 @@ type sppState struct {
 
 // SaveState implements checkpoint.Stater.
 func (p *Prefetcher) SaveState(w io.Writer) error {
-	st := sppState{Clock: p.clock}
-	p.filter.Range(func(line, _ uint64) bool {
-		st.FilterFifo = append(st.FilterFifo, line)
-		return true
-	})
+	st := sppState{Clock: p.clock, FilterFifo: p.filter.order.Live()}
 	for _, e := range p.st {
 		st.ST = append(st.ST, stEntryState{Page: e.page, Valid: e.valid, LastOffset: e.lastOffset, Sig: e.sig, LRU: e.lru})
 	}
@@ -71,18 +67,20 @@ func (p *Prefetcher) SaveState(w io.Writer) error {
 }
 
 // LoadState implements checkpoint.Stater; on error the prefetcher is
-// left unchanged. The in-flight filter is rebuilt from its FIFO.
+// left unchanged. The in-flight filter is rebuilt from its FIFO as a
+// bounded FIFO fills: a repeated line keeps its first place, and a
+// list longer than FilterSize keeps its newest lines.
 func (p *Prefetcher) LoadState(r io.Reader) error {
 	var st sppState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return fmt.Errorf("spp state: %w", err)
 	}
-	filter := flatmap.NewFIFO(p.cfg.FilterSize, p.cfg.FilterSize)
+	filter := newFilter(p.cfg.FilterSize)
 	for _, line := range st.FilterFifo {
 		if line == flatmap.Reserved {
 			return fmt.Errorf("spp state: reserved filter line")
 		}
-		filter.Put(line, 0)
+		filter.insert(line)
 	}
 	if len(st.ST) != p.cfg.STSize || len(st.PT) != p.cfg.PTSize || len(st.GHR) != p.cfg.GHRSize {
 		return fmt.Errorf("spp state: table sizes %d/%d/%d do not match configured %d/%d/%d",

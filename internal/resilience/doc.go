@@ -15,7 +15,11 @@
 //   - Queue: a bounded FIFO admission queue that sheds the newest
 //     arrival when full (the clients being told "come back later" are
 //     the ones that just showed up, not the ones already waiting) and
-//     reports its depth through a gauge hook.
+//     reports its depth through a gauge hook;
+//   - UnusedConns: the http.Server hook pair that lets a graceful
+//     Shutdown close connections that never carried a request instead
+//     of waiting out their idle age; the service and the cluster
+//     front door both install it.
 //
 // Nothing in this package knows about simulations, prefetchers or
 // telemetry: every type is a plain concurrency-safe building block

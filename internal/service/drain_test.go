@@ -18,10 +18,7 @@ func TestDrainClosesUnusedConnections(t *testing.T) {
 	}
 	defer c.Close()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.unusedMu.Lock()
-		n := len(s.unused)
-		s.unusedMu.Unlock()
-		if n == 1 {
+		if s.unused.Len() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -294,13 +294,9 @@ type Service struct {
 	ln  net.Listener
 	srv *http.Server
 
-	// unused holds the connections that have not carried a request yet
-	// (http.StateNew). Shutdown counts such a connection as active
-	// until it is 5 s old, so a spare connection a client's transport
-	// dialed would hold the drain past its shutdown deadline; drain
-	// closes them once the listener is closed (closeUnused).
-	unusedMu sync.Mutex
-	unused   map[net.Conn]struct{}
+	// unused lets the HTTP shutdown close connections that never
+	// carried a request, which would otherwise hold the drain.
+	unused resilience.UnusedConns
 
 	pprofAddr string       // bound pprof listen address (empty when off)
 	pprofSrv  *http.Server // shut down on drain
@@ -628,10 +624,8 @@ func (s *Service) Start() error {
 		return fmt.Errorf("service: %w", err)
 	}
 	s.ln = ln
-	s.unused = make(map[net.Conn]struct{})
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second,
-		ConnState: s.trackUnused}
-	s.srv.RegisterOnShutdown(s.closeUnused)
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.unused.Install(s.srv)
 	go func() {
 		defer close(s.httpDone)
 		// http.ErrServerClosed is the normal shutdown path.
@@ -669,29 +663,6 @@ func (s *Service) Start() error {
 	s.cfg.Logf("service: ready on %s (%d workers, queue %d)",
 		s.Addr(), s.cfg.Workers, s.cfg.QueueDepth)
 	return nil
-}
-
-// trackUnused is the server's ConnState hook: it keeps the set of
-// connections that have not carried a request.
-func (s *Service) trackUnused(c net.Conn, st http.ConnState) {
-	s.unusedMu.Lock()
-	defer s.unusedMu.Unlock()
-	if st == http.StateNew {
-		s.unused[c] = struct{}{}
-	} else {
-		delete(s.unused, c)
-	}
-}
-
-// closeUnused closes every connection that has not carried a request.
-// Shutdown runs it after closing the listener; such a connection has
-// no request to finish, and the draining service would refuse one.
-func (s *Service) closeUnused() {
-	s.unusedMu.Lock()
-	defer s.unusedMu.Unlock()
-	for c := range s.unused {
-		c.Close()
-	}
 }
 
 // Drain gracefully stops the service: admission closes (new requests

@@ -342,22 +342,20 @@ func (s *Simulator) step(rec trace.Record, src Source) {
 // retireTimeOf estimates the retire time of instruction id using the
 // retire times of recorded loads: non-load instructions retire at the
 // issue width after the closest preceding load. The queue is sorted by
-// id, so the last load with id <= target is found by binary search (the
-// linear backwards scan this replaces was O(ROB) per step).
+// id, and step's trim leaves robQ[robHead] at the last load at or
+// before the previous step's target (or at the oldest load). Targets
+// only grow, so the last load with id <= target is found by scanning
+// forward from the head; the loads the scan passes are the ones the
+// step's trim then drops, so the scan is O(1) amortized.
 func (s *Simulator) retireTimeOf(id uint64) (float64, bool) {
-	lo, hi := s.robHead, len(s.robQ)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.robQ[mid].id <= id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == s.robHead {
+	i := s.robHead
+	if i == len(s.robQ) || s.robQ[i].id > id {
 		return 0, false
 	}
-	best := &s.robQ[lo-1]
+	for i+1 < len(s.robQ) && s.robQ[i+1].id <= id {
+		i++
+	}
+	best := &s.robQ[i]
 	return best.retire + float64(id-best.id)/float64(s.cfg.IssueWidth), true
 }
 

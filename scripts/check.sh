@@ -26,9 +26,12 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # blobs (the artifact store names them by hash). A service worker reuses
 # its prefetcher arms across requests (DESIGN.md §9): every arm's Reset
 # must leave it byte-identical to a new one, and a warm request's source
-# construction must not rebuild the arms' tables.
-go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic' ./internal/sim/
-go test -race -count 1 -run 'TestResetMatchesNew' ./internal/prefetch/...
+# construction must not rebuild the arms' tables. The optimized arms and
+# ROB lookup must match reference models of the code they replaced
+# (SPP's FIFO filter, Domino's Get-then-Put, BO's score rescan, the ROB
+# binary search), suggestion for suggestion and byte for byte.
+go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect' ./internal/sim/
+go test -race -count 1 -run 'TestResetMatchesNew|TestFilterMatchesFIFO|TestOneProbeMatchesGetThenPut|TestRunningBestMatchesRescan' ./internal/prefetch/...
 go test -race -count 1 -run 'TestWarmSourceAllocs' ./internal/service/
 go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
 go test -race -count 1 -run 'TestFixedForwardIntoZeroAlloc|TestRequantizeTracksRetrainedWeights' ./internal/nn/
