@@ -52,8 +52,7 @@ func (q *Queue[T]) Reset(capacity int) {
 // and inserting one past the bound first evicts the oldest key.
 // Updating a live key changes its value but not its position. This is
 // the replacement policy of the prefetchers' bounded metadata tables
-// (ISB's address-mapping caches, Domino's indexes, SPP's prefetch
-// filter).
+// (ISB's address-mapping caches, Domino's indexes).
 type FIFO struct {
 	m     Map
 	order Queue[uint64]

@@ -128,11 +128,11 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 	// the position the key held before, which is the replay point. The
 	// log is appended only after predicting, so logValid and the
 	// pos == logAt stop see history up to (but excluding) this miss.
-	pos := p.logAt
+	at := p.logAt
 	var replayPos, found = -1, false
-	prev1, ok1 := p.idx1.Put(a.Line, uint64(pos))
+	prev1, ok1 := p.idx1.Put(a.Line, uint64(at))
 	if p.hasPrev {
-		if prev2, ok := p.idx2.Put(pairKey(p.prev, a.Line), uint64(pos)); ok && p.logValid(int(prev2)) {
+		if prev2, ok := p.idx2.Put(pairKey(p.prev, a.Line), uint64(at)); ok && p.logValid(int(prev2)) {
 			replayPos, found = int(prev2), true
 		}
 	}
@@ -159,7 +159,7 @@ func (p *Prefetcher) Observe(a prefetch.AccessContext) []prefetch.Suggestion {
 
 	// Log the miss.
 	if p.wrapped {
-		p.log[pos] = a.Line
+		p.log[at] = a.Line
 	} else {
 		p.log = append(p.log, a.Line)
 	}
