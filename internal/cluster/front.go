@@ -218,10 +218,7 @@ func New(cfg Config) (*Front, error) {
 		// Per-request contexts bound the round trips. The dedicated
 		// transport keeps the front's keep-alive pool out of
 		// http.DefaultTransport, so the idle connections Drain
-		// releases are the front's own. (A dial race in a shared pool
-		// can park a connection that never carries a request; both the
-		// backends and the front close those at shutdown, see
-		// resilience.UnusedConns.)
+		// releases are the front's own.
 		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		httpDone: make(chan struct{}),
 		tokens:   make(chan struct{}, cfg.MaxInFlight),
