@@ -609,6 +609,61 @@ func (s *Store) UntagPrefix(prefix string) (int, error) {
 	return len(removed), nil
 }
 
+// DropPrefix removes every tag with the given prefix and then the
+// blobs those tags pointed to that nothing else roots: no other tag
+// and no reference. Blobs the tags did not point to are left alone,
+// even unrooted ones, so a completed run's cleanup cannot collect a
+// blob someone else stored with a plain Put. It takes the store lock
+// once and persists the index once, before any blob file is removed:
+// if persisting fails nothing changes, and a file whose removal fails
+// after that is an orphan the recovery sweep re-adopts.
+func (s *Store) DropPrefix(prefix string) (untagged, removed int, err error) {
+	release, err := s.begin()
+	if err != nil {
+		return 0, 0, err
+	}
+	defer release()
+	dropped := map[string]ID{}
+	for name, id := range s.tags {
+		if strings.HasPrefix(name, prefix) {
+			dropped[name] = id
+			delete(s.tags, name)
+		}
+	}
+	if len(dropped) == 0 {
+		return 0, 0, nil
+	}
+	rooted := map[ID]bool{}
+	for _, id := range s.tags {
+		rooted[id] = true
+	}
+	gone := map[ID]*entry{}
+	for _, id := range dropped {
+		if e, ok := s.blob[id]; ok && e.refs == 0 && !rooted[id] {
+			gone[id] = e
+			delete(s.blob, id)
+		}
+	}
+	if err := s.persistIndex(); err != nil {
+		for name, id := range dropped {
+			s.tags[name] = id
+		}
+		for id, e := range gone {
+			s.blob[id] = e
+		}
+		return 0, 0, err
+	}
+	for id, e := range gone {
+		if rmErr := os.Remove(s.blobPath(e.kind, id)); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
+			err = fmt.Errorf("cas: drop: %w", rmErr)
+		}
+		s.stats.GCRemoved++
+		s.stats.Blobs--
+		s.stats.Bytes -= e.size
+	}
+	return len(dropped), len(gone), err
+}
+
 // Tags returns the tag names with the given prefix, sorted.
 func (s *Store) Tags(prefix string) []string {
 	release, err := s.begin()

@@ -233,6 +233,76 @@ func TestGCRespectsRefsAndTags(t *testing.T) {
 	}
 }
 
+// TestDropPrefixRemovesOnlyWhatItUntagged pins the completed-run
+// cleanup: the prefix's tags go, and with them the blobs only those
+// tags rooted; an unrooted blob stored with a plain Put, a blob also
+// tagged elsewhere and a referenced blob all survive, and the index
+// on disk agrees after a reopen.
+func TestDropPrefixRemovesOnlyWhatItUntagged(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, dir)
+	put := func(data string, tags ...string) ID {
+		t.Helper()
+		id, err := s.PutTagged(KindCheckpoint, []byte(data), tags...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	plain := put("plain put, never tagged")
+	own1 := put("run checkpoint 1", "ckp/run/1")
+	own2 := put("run checkpoint 2", "ckp/run/2", "ckp/run/latest")
+	shared := put("run checkpoint 3", "ckp/run/3", "keep/elsewhere")
+	pinned := put("run checkpoint 4", "ckp/run/4")
+	if err := s.AddRef(pinned); err != nil {
+		t.Fatal(err)
+	}
+	other := put("another run", "ckp/runner/1")
+
+	untagged, removed, err := s.DropPrefix("ckp/run/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if untagged != 5 || removed != 2 {
+		t.Fatalf("DropPrefix = %d untagged, %d removed; want 5, 2", untagged, removed)
+	}
+	check := func(s *Store) {
+		t.Helper()
+		for _, id := range []ID{plain, shared, pinned, other} {
+			if !s.Has(id) {
+				t.Errorf("blob %s was removed", id)
+			}
+		}
+		for _, id := range []ID{own1, own2} {
+			if s.Has(id) {
+				t.Errorf("blob %s survived its only tags", id)
+			}
+			if _, err := os.Stat(s.blobPath(KindCheckpoint, id)); !os.IsNotExist(err) {
+				t.Errorf("blob file %s still on disk (%v)", id, err)
+			}
+		}
+		if tags := s.Tags("ckp/run/"); len(tags) != 0 {
+			t.Errorf("tags left under the prefix: %v", tags)
+		}
+		if tags := s.Tags(""); len(tags) != 2 {
+			t.Errorf("tags = %v, want keep/elsewhere and ckp/runner/1", tags)
+		}
+		if st := s.Stats(); st.Blobs != 4 {
+			t.Errorf("stats report %d blobs, want 4", st.Blobs)
+		}
+	}
+	check(s)
+	if _, _, err := s.DropPrefix("ckp/run/"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, rep := mustOpen(t, dir)
+	if !rep.Clean() {
+		t.Fatalf("reopen sweep not clean: %v", rep)
+	}
+	check(s2)
+}
+
 func TestPersistenceAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir)

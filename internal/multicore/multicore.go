@@ -4,7 +4,8 @@
 // private L1D/L2 caches and its own prefetch source (e.g. a per-core
 // ReSemble controller); all cores share the LLC and the DRAM channel,
 // so prefetching decisions interact through capacity contention and
-// bandwidth.
+// bandwidth. A core's private L1D/L2 outcome depends on its trace
+// alone, so it is read from the trace's shared sim.Filter.
 //
 // The timing model is the same ROB/issue-width-bounded model as the
 // single-core simulator; cores are interleaved event-style by advancing
@@ -84,8 +85,8 @@ type coreState struct {
 	id       int
 	trace    *trace.Trace
 	source   sim.Source
-	l1d, l2  *cache.Cache
-	next     int // next record index
+	priv     *sim.Filter // private L1D/L2 outcome of each record
+	next     int         // next record index
 	warmupAt int
 
 	dispatch, retire float64
@@ -129,11 +130,13 @@ func Run(cfg Config, cores []Core) (Result, error) {
 			id:       i,
 			trace:    c.Trace,
 			source:   c.Source,
-			l1d:      cache.New(cfg.Sim.L1D),
-			l2:       cache.New(cfg.Sim.L2),
+			priv:     sim.FilterFor(c.Trace, cfg.Sim),
 			warmupAt: int(float64(c.Trace.Len()) * cfg.Sim.WarmupFraction),
 		}
 		if cfg.RelocateCores {
+			// The shift is a multiple of every power-of-two set count
+			// times the line size, so set indexes and tag comparisons in
+			// the private caches, and with them the Filter, are unchanged.
 			cs.relocate = mem.Addr(i) << 42
 		}
 		m.states[i] = cs
@@ -175,12 +178,13 @@ func (m *machine) run() {
 		if cs == nil {
 			return
 		}
-		rec := cs.trace.Records[cs.next]
-		if cs.next == cs.warmupAt {
+		i := cs.next
+		rec := cs.trace.Records[i]
+		if i == cs.warmupAt {
 			m.resetCore(cs, rec.ID)
 		}
 		cs.next++
-		m.step(cs, rec)
+		m.step(cs, rec, cs.priv.Level(i))
 	}
 }
 
@@ -198,7 +202,7 @@ func (m *machine) resetCore(cs *coreState, firstID uint64) {
 }
 
 // step mirrors the single-core timing model with shared LLC/DRAM.
-func (m *machine) step(cs *coreState, rec trace.Record) {
+func (m *machine) step(cs *coreState, rec trace.Record, lvl sim.Level) {
 	w := float64(m.cfg.Sim.IssueWidth)
 	gapInstr := float64(rec.ID - cs.lastID)
 	dispatch := cs.dispatch + gapInstr/w
@@ -209,7 +213,7 @@ func (m *machine) step(cs *coreState, rec trace.Record) {
 	}
 	m.commitFills(dispatch)
 
-	lat := m.access(cs, rec, dispatch)
+	lat := m.access(cs, rec, lvl, dispatch)
 
 	completion := dispatch + lat
 	retire := cs.retire + gapInstr/w
@@ -239,16 +243,15 @@ func (cs *coreState) retireTimeOf(id uint64, width int) (float64, bool) {
 	return best.retire + float64(id-best.id)/float64(width), true
 }
 
-func (m *machine) access(cs *coreState, rec trace.Record, now float64) float64 {
-	addr := rec.Addr + cs.relocate
-	line := mem.LineOf(addr)
-	if hit, _ := cs.l1d.Access(line); hit {
+func (m *machine) access(cs *coreState, rec trace.Record, lvl sim.Level, now float64) float64 {
+	switch lvl {
+	case sim.L1DHit:
 		return float64(m.cfg.Sim.L1D.Latency)
-	}
-	if hit, _ := cs.l2.Access(line); hit {
-		cs.l1d.Insert(line, false)
+	case sim.L2Hit:
 		return float64(m.cfg.Sim.L2.Latency)
 	}
+	addr := rec.Addr + cs.relocate
+	line := mem.LineOf(addr)
 	cs.accessIdx++
 	cs.llcAccesses++
 	hit, firstUse := m.llc.Access(line)
@@ -273,8 +276,6 @@ func (m *machine) access(cs *coreState, rec trace.Record, now float64) float64 {
 			m.llc.Insert(line, false)
 		}
 	}
-	cs.l2.Insert(line, false)
-	cs.l1d.Insert(line, false)
 
 	if cs.source != nil {
 		ctx := prefetch.AccessContext{

@@ -59,6 +59,11 @@ func (p *Prefetcher) LoadState(r io.Reader) error {
 	if len(st.LastAddr) != len(st.LastFifo) || len(st.PS) != len(st.PSFifo) || len(st.SP) != len(st.SPFifo) {
 		return fmt.Errorf("isb state: mismatched table lengths")
 	}
+	for _, e := range st.PS {
+		if e.Counter < 0 || e.Counter > 3 || e.Structural >= 1<<62 {
+			return fmt.Errorf("isb state: entry %+v does not fit a table value", e)
+		}
+	}
 	for _, keys := range [][]uint64{st.LastFifo, st.PSFifo, st.SPFifo} {
 		for _, k := range keys {
 			if k == flatmap.Reserved {

@@ -185,3 +185,29 @@ func Differential(t *testing.T, arm, ref func() Arm, accesses []prefetch.AccessC
 		t.Fatal("the resumed arm ends in a different state from the uninterrupted one")
 	}
 }
+
+// LoadedState is the body of an arm's FuzzLoadState. LoadState must
+// not panic on data. When it accepts data, the arm's state must save to
+// bytes that a new arm loads and saves back unchanged, and two arms
+// loaded from data must give the same suggestions over accesses and
+// end in the same state.
+func LoadedState(t *testing.T, fresh func() Arm, data []byte, accesses []prefetch.AccessContext) {
+	t.Helper()
+	a := fresh()
+	if err := a.LoadState(bytes.NewReader(data)); err != nil {
+		return
+	}
+	saved := state(t, a)
+	again := fresh()
+	if err := again.LoadState(bytes.NewReader(saved)); err != nil {
+		t.Fatalf("an accepted state re-saves to bytes LoadState rejects: %v", err)
+	}
+	if !bytes.Equal(state(t, again), saved) {
+		t.Fatal("an accepted state's re-saved bytes do not reload to themselves")
+	}
+	b := fresh()
+	if err := b.LoadState(bytes.NewReader(data)); err != nil {
+		t.Fatalf("the same bytes loaded once and were rejected the second time: %v", err)
+	}
+	SameRun(t, a, b, accesses)
+}

@@ -142,6 +142,56 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 }
 
+// TestCompletedRunDropsOnlyItsCheckpoints pins the cleanup a completed
+// run does in the store: its own checkpoints go, but a blob someone
+// stored with a plain Put and a checkpoint that is also tagged outside
+// the run's prefix stay.
+func TestCompletedRunDropsOnlyItsCheckpoints(t *testing.T) {
+	store := testStore(t)
+	s := startService(t, func(c *Config) {
+		c.Store = store
+		c.RunCheckpointEvery = 500
+	})
+	req := Request{Workload: "433.milc", Controller: "bo", Accesses: 3000, Seed: 5}
+	key := RunKey(req)
+	put := func(data string, tags ...string) cas.ID {
+		t.Helper()
+		id, err := store.PutTagged(cas.KindCheckpoint, []byte(data), tags...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	plain := put("a checkpoint stored with a plain Put")
+	shared := put("a run checkpoint kept by another caller", CheckpointTag(key, 7), "keep/elsewhere")
+	own := put("a run checkpoint tagged only by the run", CheckpointTag(key, 9))
+	before := store.Stats().Blobs
+
+	if status, resp := post(t, s, req); status != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", status, resp.Error)
+	}
+	if w := s.Stats().RunCkpWrites; w == 0 {
+		t.Fatal("the run wrote no checkpoints")
+	}
+	if tags := store.Tags(CheckpointTagPrefix(key)); len(tags) != 0 {
+		t.Fatalf("completed run left checkpoint tags %v", tags)
+	}
+	if !store.Has(plain) {
+		t.Error("the plain-Put blob was removed")
+	}
+	if !store.Has(shared) {
+		t.Error("the checkpoint tagged elsewhere was removed")
+	}
+	if store.Has(own) {
+		t.Error("a checkpoint rooted only by the run's tags survived")
+	}
+	// Every checkpoint the run wrote is gone as well: the store holds
+	// what it held before, less the one run-only blob.
+	if after := store.Stats().Blobs; after != before-1 {
+		t.Errorf("store holds %d blobs after the run, want %d", after, before-1)
+	}
+}
+
 // TestResumeFallsBackToScratch pins the degraded path: an unusable
 // resume_from (absent blob, or a blob that is not this run's
 // checkpoint) yields a correct scratch run, counted as a fallback and

@@ -372,12 +372,11 @@ func (s *Service) simulate(t *task, arms armSet) (Response, int, error) {
 	}
 	if store != nil && canCkp {
 		// The run completed: its checkpoints have served their purpose.
-		// Release the tags and collect the garbage so the store holds
-		// only checkpoints of in-flight (or interrupted) runs.
-		if n, uerr := store.UntagPrefix(CheckpointTagPrefix(key)); uerr == nil && n > 0 {
-			if _, _, gerr := store.GC(); gerr != nil {
-				s.cfg.Logf("service: store GC after run %.12s…: %v", key, gerr)
-			}
+		// Drop its tags and the blobs only they rooted, so the store
+		// holds only checkpoints of in-flight (or interrupted) runs and
+		// whatever else other callers stored.
+		if _, _, derr := store.DropPrefix(CheckpointTagPrefix(key)); derr != nil {
+			s.cfg.Logf("service: dropping checkpoints of run %.12s…: %v", key, derr)
 		}
 	}
 

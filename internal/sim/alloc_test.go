@@ -19,7 +19,8 @@ import (
 // or without a prefetch source. The head-indexed MSHR/ROB/pending
 // queues and the by-value cache eviction path are what make this hold;
 // a regression here shows up as a nonzero allocs/op long before it
-// shows up in wall-clock benchmarks.
+// shows up in wall-clock benchmarks. Each step reads its record's
+// private-hierarchy outcome from the trace's Filter, as a run does.
 //
 // The ensemble cases run the real four arms under the tabular and
 // SBP(E) controllers over a repeating pointer-chasing trace, so their
@@ -46,12 +47,13 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
 			s := New(DefaultConfig())
+			priv := FilterFor(tr, s.cfg)
 			for i := 0; i < tc.warm; i++ {
-				s.step(tr.Records[i], tc.src)
+				s.step(tr.Records[i], priv.Level(i), tc.src)
 			}
 			i := tc.warm
 			allocs := testing.AllocsPerRun(1000, func() {
-				s.step(tr.Records[i], tc.src)
+				s.step(tr.Records[i], priv.Level(i), tc.src)
 				i++
 			})
 			if allocs != 0 {

@@ -3,7 +3,10 @@
 // (DESIGN.md, Substitutions). It models:
 //
 //   - a three-level data-cache hierarchy (L1D → L2 → LLC) with LRU and
-//     prefetch-bit tracking, scaled from the paper's Table V geometry;
+//     prefetch-bit tracking, scaled from the paper's Table V geometry.
+//     Prefetches fill only the LLC, so which records the private L1D
+//     and L2 serve depends on the trace alone; it is computed once per
+//     trace (Filter) and every run of the trace reads it;
 //   - a trace-driven out-of-order core: instructions dispatch at the
 //     issue width, occupy a finite ROB, and retire in order, so a
 //     long-latency miss exposes stall cycles only past the ROB slack —

@@ -56,14 +56,16 @@ type ckpMeta struct {
 // checkpoint boundaries and interrupt polling. The common case (no
 // checkpointing, no interrupt source) takes a branch-free fast loop.
 func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int, set settings) error {
-	warmupEnd := int(float64(len(tr.Records)) * s.cfg.WarmupFraction)
+	s.priv = FilterFor(tr, s.cfg)
+	levels := s.priv.levels
+	warmupEnd := warmupEndOf(len(tr.Records), s.cfg.WarmupFraction)
 	if set.ckpPath == "" && set.ckpSink == nil && set.interrupt == nil && set.stopAfter <= 0 {
 		for i := start; i < len(tr.Records); i++ {
 			rec := tr.Records[i]
 			if i == warmupEnd {
 				s.resetMeasurement(rec.ID)
 			}
-			s.step(rec, src)
+			s.step(rec, levels[i], src)
 		}
 		return nil
 	}
@@ -73,7 +75,7 @@ func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int
 		if i == warmupEnd {
 			s.resetMeasurement(rec.ID)
 		}
-		s.step(rec, src)
+		s.step(rec, levels[i], src)
 		processed++
 		cursor := i + 1
 		if cursor == len(tr.Records) {

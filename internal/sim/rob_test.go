@@ -48,10 +48,12 @@ func TestRetireTimeOfMatchesBisect(t *testing.T) {
 		line := mem.Line(rng.Intn(1 << 14))
 		recs[i] = trace.Record{ID: id, PC: 0x400000, Addr: mem.LineAddr(line)}
 	}
+	priv := FilterFor(&trace.Trace{Records: recs}, cfg)
 	lookups, found := 0, 0
-	check := func(s *Simulator, recs []trace.Record) {
+	check := func(s *Simulator, lo, hi int) {
 		t.Helper()
-		for i, rec := range recs {
+		for i := lo; i < hi; i++ {
+			rec := recs[i]
 			if rec.ID >= uint64(cfg.ROB) {
 				target := rec.ID - uint64(cfg.ROB)
 				got, gotOK := s.retireTimeOf(target)
@@ -64,11 +66,11 @@ func TestRetireTimeOfMatchesBisect(t *testing.T) {
 					found++
 				}
 			}
-			s.step(rec, nil)
+			s.step(rec, priv.Level(i), nil)
 		}
 	}
 	s := New(cfg)
-	check(s, recs[:30000])
+	check(s, 0, 30000)
 	var buf bytes.Buffer
 	if err := s.SaveState(&buf); err != nil {
 		t.Fatal(err)
@@ -77,8 +79,8 @@ func TestRetireTimeOfMatchesBisect(t *testing.T) {
 	if err := resumed.LoadState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	check(resumed, recs[30000:])
-	check(s, recs[30000:])
+	check(resumed, 30000, len(recs))
+	check(s, 30000, len(recs))
 	if 2*found < lookups {
 		t.Fatalf("only %d of %d lookups found a preceding load", found, lookups)
 	}

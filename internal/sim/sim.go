@@ -161,11 +161,16 @@ type loadRetire struct {
 	retire float64 // cycle the load retires
 }
 
-// Simulator runs traces through the hierarchy and timing model.
+// Simulator runs traces through the LLC, DRAM and timing model. The
+// private L1D/L2 are not simulated per run: each record's outcome there
+// comes from the trace's shared Filter.
 type Simulator struct {
 	cfg Config
 
-	l1d, l2, llc *cache.Cache
+	llc *cache.Cache
+	// priv is the private-hierarchy outcome of the trace being run
+	// (set by simulate; result reads its L1D/L2 statistics).
+	priv *Filter
 
 	// Timing state. The three FIFO queues (mshr, robQ, pending) are
 	// head-indexed: consuming the front advances the head instead of
@@ -256,8 +261,6 @@ func New(cfg Config) *Simulator {
 		cfg.MaxDegree = 1
 	}
 	s := &Simulator{cfg: cfg}
-	s.l1d = cache.New(cfg.L1D)
-	s.l2 = cache.New(cfg.L2)
 	s.llc = cache.New(cfg.LLC)
 	s.pendingSet = flatmap.New(64)
 	s.mshr = make([]float64, 0, cfg.LLC.MSHRs)
@@ -273,8 +276,6 @@ func New(cfg Config) *Simulator {
 func (s *Simulator) resetMeasurement(firstID uint64) {
 	s.instrBase = firstID
 	s.cyclesBase = s.retireClock()
-	s.l1d.ResetStats()
-	s.l2.ResetStats()
 	s.llc.ResetStats()
 	s.llcAccesses = 0
 	s.llcMisses = 0
@@ -292,8 +293,8 @@ func (s *Simulator) retireClock() float64 {
 }
 
 // step processes one trace record through timing, hierarchy and
-// prefetching.
-func (s *Simulator) step(rec trace.Record, src Source) {
+// prefetching; lvl is the record's private-hierarchy outcome.
+func (s *Simulator) step(rec trace.Record, lvl Level, src Source) {
 	w := float64(s.cfg.IssueWidth)
 
 	// Dispatch: advance by the instruction gap, bounded by ROB space.
@@ -312,7 +313,7 @@ func (s *Simulator) step(rec trace.Record, src Source) {
 
 	// Access the hierarchy.
 	idxBefore := s.accessIdx
-	lat := s.access(rec, dispatch, src)
+	lat := s.access(rec, lvl, dispatch, src)
 
 	completion := dispatch + lat
 	// In-order retire at the issue width.
@@ -359,20 +360,20 @@ func (s *Simulator) retireTimeOf(id uint64) (float64, bool) {
 	return best.retire + float64(id-best.id)/float64(s.cfg.IssueWidth), true
 }
 
-// access runs one demand access through L1D/L2/LLC/DRAM and returns its
-// load-to-use latency in cycles. It also drives the prefetch source on
-// LLC accesses.
-func (s *Simulator) access(rec trace.Record, now float64, src Source) float64 {
-	line := rec.Line()
-	if hit, _ := s.l1d.Access(line); hit {
+// access runs one demand access through the hierarchy and returns its
+// load-to-use latency in cycles. lvl says whether the private L1D/L2
+// serve it; otherwise it goes through LLC/DRAM and drives the prefetch
+// source.
+func (s *Simulator) access(rec trace.Record, lvl Level, now float64, src Source) float64 {
+	switch lvl {
+	case L1DHit:
 		return float64(s.cfg.L1D.Latency)
-	}
-	if hit, _ := s.l2.Access(line); hit {
-		s.l1d.Insert(line, false)
+	case L2Hit:
 		return float64(s.cfg.L2.Latency)
 	}
 
 	// LLC access: this is the stream prefetchers observe.
+	line := rec.Line()
 	s.accessIdx++
 	s.llcAccesses++
 	s.win.Accesses++
@@ -418,9 +419,6 @@ func (s *Simulator) access(rec trace.Record, now float64, src Source) float64 {
 			PC: rec.PC, Addr: uint64(rec.Addr),
 		})
 	}
-	s.l2.Insert(line, false)
-	s.l1d.Insert(line, false)
-
 	if src != nil {
 		ctx := prefetch.AccessContext{
 			Index:       s.accessIdx,
@@ -586,12 +584,13 @@ func (s *Simulator) removePending(line mem.Line) {
 
 // result assembles the measured-region metrics.
 func (s *Simulator) result(tr *trace.Trace, src Source) Result {
+	l1d, l2 := s.priv.Stats()
 	r := Result{
 		Workload: tr.Name,
 		Source:   "none",
 		Caches: map[string]cache.Stats{
-			"L1D": s.l1d.Stats(),
-			"L2":  s.l2.Stats(),
+			"L1D": l1d,
+			"L2":  l2,
 			"LLC": s.llc.Stats(),
 		},
 	}

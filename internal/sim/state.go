@@ -14,14 +14,21 @@ import (
 )
 
 // Checkpointing (checkpoint.Stater) for the simulator and the solo
-// prefetcher adapter. The snapshot carries the complete timing,
-// hierarchy and counter state — including the per-window accumulators
-// that have not been flushed to the registry yet — so a resumed run
-// continues the event stream exactly where the interrupted one stopped.
+// prefetcher adapter. The snapshot carries the complete timing, LLC
+// and counter state — including the per-window accumulators that have
+// not been flushed to the registry yet — so a resumed run continues
+// the event stream exactly where the interrupted one stopped. The
+// private L1D/L2 are not part of it: their contents are a function of
+// the trace prefix, and a resumed run reads them from the trace's
+// Filter.
 
 // simState is the gob mirror of Simulator's mutable state. pendingSet
 // is saved independently of pending: a late prefetch hit removes a
 // line from the set but leaves its (now inert) slice entry behind.
+//
+// Older snapshots also carry L1D and L2 fields; gob skips fields the
+// target struct does not have, so they still decode and those sections
+// are ignored.
 type simState struct {
 	Dispatch float64
 	Retire   float64
@@ -57,7 +64,7 @@ type simState struct {
 	WinDRAMReqs   uint64
 	WinMSHRStalls uint64
 
-	L1D, L2, LLC []byte
+	LLC []byte
 }
 
 // SaveState implements checkpoint.Stater.
@@ -90,21 +97,16 @@ func (s *Simulator) SaveState(w io.Writer) error {
 		st.SetFills = append(st.SetFills, math.Float64frombits(fv))
 		return true
 	})
-	for _, cs := range []struct {
-		c   checkpoint.Stater
-		dst *[]byte
-	}{{s.l1d, &st.L1D}, {s.l2, &st.L2}, {s.llc, &st.LLC}} {
-		var buf bytes.Buffer
-		if err := cs.c.SaveState(&buf); err != nil {
-			return err
-		}
-		*cs.dst = buf.Bytes()
+	var buf bytes.Buffer
+	if err := s.llc.SaveState(&buf); err != nil {
+		return err
 	}
+	st.LLC = buf.Bytes()
 	return gob.NewEncoder(w).Encode(st)
 }
 
 // LoadState implements checkpoint.Stater; the payload is fully decoded
-// and the cache geometries validated before anything is installed.
+// and the LLC geometry validated before anything is installed.
 func (s *Simulator) LoadState(r io.Reader) error {
 	var st simState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
@@ -116,15 +118,14 @@ func (s *Simulator) LoadState(r io.Reader) error {
 	if len(st.PendingLines) != len(st.PendingFills) || len(st.SetLines) != len(st.SetFills) {
 		return fmt.Errorf("sim state: mismatched pending lengths")
 	}
-	// Cache loads validate geometry and leave the caches untouched on
-	// error; they go first so any failure aborts before the timing state
+	for _, line := range st.SetLines {
+		if line == flatmap.Reserved {
+			return fmt.Errorf("sim state: reserved in-flight line")
+		}
+	}
+	// The LLC load validates geometry and leaves the cache untouched on
+	// error; it goes first so any failure aborts before the timing state
 	// is replaced.
-	if err := s.l1d.LoadState(bytes.NewReader(st.L1D)); err != nil {
-		return err
-	}
-	if err := s.l2.LoadState(bytes.NewReader(st.L2)); err != nil {
-		return err
-	}
 	if err := s.llc.LoadState(bytes.NewReader(st.LLC)); err != nil {
 		return err
 	}

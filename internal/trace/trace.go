@@ -13,6 +13,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"resemble/internal/mem"
 )
@@ -37,6 +38,43 @@ func (r Record) Line() mem.Line { return mem.LineOf(r.Addr) }
 type Trace struct {
 	Name    string
 	Records []Record
+
+	// derived holds data computed from Records (see Derived). It lives
+	// and dies with the trace, so a trace the Cache evicts takes its
+	// derived data with it.
+	derived struct {
+		mu sync.Mutex
+		m  map[any]*derivedEntry
+	}
+}
+
+// derivedEntry is one Derived value; once makes concurrent first
+// callers wait for a single build.
+type derivedEntry struct {
+	once sync.Once
+	v    any
+}
+
+// Derived returns the value stored on the trace under key, calling
+// build to compute it on first use. Concurrent callers with the same
+// key wait for one build and share its result. The key must be
+// comparable and should pin everything the value depends on besides
+// the records themselves (including len(Records), so an Append after
+// the first call cannot serve stale data). Records must not be changed
+// in place once a value has been derived from them.
+func (t *Trace) Derived(key any, build func() any) any {
+	t.derived.mu.Lock()
+	if t.derived.m == nil {
+		t.derived.m = make(map[any]*derivedEntry)
+	}
+	e, ok := t.derived.m[key]
+	if !ok {
+		e = &derivedEntry{}
+		t.derived.m[key] = e
+	}
+	t.derived.mu.Unlock()
+	e.once.Do(func() { e.v = build() })
+	return e.v
 }
 
 // Len returns the number of records.

@@ -29,8 +29,12 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # construction must not rebuild the arms' tables. The optimized arms and
 # ROB lookup must match reference models of the code they replaced
 # (SPP's FIFO filter, Domino's Get-then-Put, BO's score rescan, the ROB
-# binary search), suggestion for suggestion and byte for byte.
-go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect' ./internal/sim/
+# binary search), suggestion for suggestion and byte for byte. Runs
+# read the private L1D/L2 outcome from the trace's shared filter: every
+# batch controller must match the full-hierarchy reference model, a
+# checkpoint in the format that still carried L1D/L2 must resume to the
+# uninterrupted result, and the simulator state loader must not panic.
+go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect|TestFilterMatchesFullHierarchy|TestResumeFromOldFormatCheckpoint|FuzzSimLoadState' ./internal/sim/
 go test -race -count 1 -run 'TestResetMatchesNew|TestFilterMatchesFIFO|TestOneProbeMatchesGetThenPut|TestRunningBestMatchesRescan' ./internal/prefetch/...
 go test -race -count 1 -run 'TestWarmSourceAllocs' ./internal/service/
 go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
