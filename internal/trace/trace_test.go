@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -412,5 +414,38 @@ func TestLineSeriesMatchesRecords(t *testing.T) {
 		if s[i] != float64(r.Line()) {
 			t.Fatalf("series[%d] = %v, want %v", i, s[i], float64(r.Line()))
 		}
+	}
+}
+
+// TestDerivedBuildsOnce: concurrent first callers of Derived with one
+// key share a single build, and another key gets its own value.
+func TestDerivedBuildsOnce(t *testing.T) {
+	tr := &Trace{Name: "derived"}
+	tr.Append(0x400000, 0x1000, 0)
+	var builds atomic.Int32
+	build := func() any {
+		builds.Add(1)
+		return new(int)
+	}
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = tr.Derived("k", build)
+		}()
+	}
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for _, v := range got[1:] {
+		if v != got[0] {
+			t.Fatal("callers of one key got different values")
+		}
+	}
+	if other := tr.Derived("other", build); other == got[0] || builds.Load() != 2 {
+		t.Fatal("a second key must get its own build")
 	}
 }
