@@ -1,7 +1,7 @@
 GO ?= go
 JOBS ?= 0
 
-.PHONY: build test check bench bench-track profile fmt fault-matrix suite soak cluster-soak incident-demo
+.PHONY: build test check bench fmt fault-matrix suite soak cluster-soak incident-demo
 
 build:
 	$(GO) build ./...
@@ -18,19 +18,6 @@ check:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkTelemetryOverhead' ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkSimulator' -benchtime 30x .
-
-# Benchmark-regression tracker: runs the pinned benchmark set, records
-# BENCH_8.json with an environment manifest, and fails on a >15%
-# regression against the newest prior BENCH_*.json (see DESIGN.md §10).
-bench-track:
-	$(GO) run ./cmd/bench -out BENCH_8.json
-
-# Continuous profiling: runs the pinned benchmarks under CPU+alloc
-# profiling, writes PROF_<n>.json (top-N attribution tables decoded by
-# internal/pprofparse), and runs the alloc-budget and hotspot-diff
-# gates (see DESIGN.md §11).
-profile:
-	$(GO) run ./cmd/bench -profile -out BENCH_8.json
 
 fmt:
 	gofmt -w .

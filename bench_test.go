@@ -221,12 +221,28 @@ func BenchmarkVoyagerObserve(b *testing.B) {
 	benchObserve(b, voyager.New(voyager.Config{}))
 }
 
+// BenchmarkMLPForward times one serving-side forward pass at the
+// paper's 4→100→5 geometry the way the controller issues it, ForwardInto
+// with a reused dst: float, and 16-bit fixed point with 10 fractional
+// bits (core.Config.FixedFrac, Table VIII's operating point).
 func BenchmarkMLPForward(b *testing.B) {
 	m := nn.NewMLP(rand.New(rand.NewSource(1)), nn.ReLU, 4, 100, 5)
+	f, err := nn.Quantize(m, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
 	x := []float64{0.1, 0.2, 0.3, 0.4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(x)
+	for _, bm := range []struct {
+		name string
+		fw   nn.Forwarder
+	}{{"float", m}, {"fixed", f}} {
+		b.Run(bm.name, func(b *testing.B) {
+			dst := make([]float64, bm.fw.OutputDim())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst = bm.fw.ForwardInto(dst, x)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -218,5 +219,27 @@ func BenchmarkMatrixPool(b *testing.B) {
 		if _, err := runMatrix(o, workloads, EvaluationSources()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPooledFig1cAllocBudget bounds the allocations of one pooled
+// experiment over warm shared traces: the worker pool, a fresh arm per
+// prefetcher run, the simulators and the rendered rows. About 340
+// measured; 768 leaves room for drift, while an allocation per
+// simulated access would cost tens of thousands.
+func TestPooledFig1cAllocBudget(t *testing.T) {
+	const budget = 768
+	o := Options{Accesses: 3000, Batch: 64, Jobs: runtime.NumCPU()}
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, ferr := Fig1c(o); ferr != nil {
+			err = ferr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Errorf("pooled Fig1c allocates %.0f per run, budget %d", allocs, budget)
 	}
 }

@@ -100,7 +100,6 @@ type coreState struct {
 	llcMisses   uint64
 	issued      uint64
 	lateUseful  uint64
-	usefulBase  uint64 // shared-LLC useful count at this core's warmup
 	accessIdx   int
 	relocate    mem.Addr
 }
@@ -198,7 +197,6 @@ func (m *machine) resetCore(cs *coreState, firstID uint64) {
 	cs.llcMisses = 0
 	cs.issued = 0
 	cs.lateUseful = 0
-	cs.usefulBase = m.llc.Stats().UsefulPrefetch
 }
 
 // step mirrors the single-core timing model with shared LLC/DRAM.
@@ -375,10 +373,10 @@ func (m *machine) result() Result {
 		r.LLCMisses = cs.llcMisses
 		r.PrefetchesIssued = cs.issued
 		r.LatePrefetchHits = cs.lateUseful
-		// Shared-LLC useful prefetches cannot be attributed per core
-		// exactly; late hits are per-core, in-cache useful counts are
-		// shared. Report per-core useful as late hits plus a
-		// proportional share of the shared in-cache count.
+		// Shared-LLC useful prefetches cannot be attributed per core:
+		// late hits are per-core, in-cache useful counts are shared
+		// (Result.SharedLLC). Per-core useful reports the late hits
+		// only.
 		r.UsefulPrefetches = cs.lateUseful
 		if r.Instructions > 0 {
 			r.MPKI = float64(r.LLCMisses) * 1000 / float64(r.Instructions)

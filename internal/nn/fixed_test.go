@@ -185,21 +185,32 @@ func TestRequantizeArchitectureMismatch(t *testing.T) {
 	}
 }
 
+// TestFixedForwardIntoZeroAlloc: both serving paths, fixed-point and
+// float (FixedFrac 0), run ForwardInto allocation-free with a reused
+// dst and agree with Forward.
 func TestFixedForwardIntoZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	m := NewMLP(rng, ReLU, 4, 100, 5)
 	f := mustQuantize(t, m, 10)
 	x := []float64{0.1, 0.9, 0.4, 0.7}
-	dst := make([]float64, f.OutputDim())
-	want := append([]float64(nil), f.Forward(x)...)
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = f.ForwardInto(dst, x)
-	}); allocs != 0 {
-		t.Errorf("ForwardInto allocates %v per run, want 0", allocs)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Errorf("ForwardInto[%d] = %v, Forward = %v", i, dst[i], want[i])
+	for _, net := range []struct {
+		name string
+		fw   interface {
+			Forward(x []float64) []float64
+			ForwardInto(dst, x []float64) []float64
+		}
+	}{{"fixed", f}, {"float", m}} {
+		dst := make([]float64, f.OutputDim())
+		want := append([]float64(nil), net.fw.Forward(x)...)
+		if allocs := testing.AllocsPerRun(100, func() {
+			dst = net.fw.ForwardInto(dst, x)
+		}); allocs != 0 {
+			t.Errorf("%s ForwardInto allocates %v per run, want 0", net.name, allocs)
+		}
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Errorf("%s ForwardInto[%d] = %v, Forward = %v", net.name, i, dst[i], want[i])
+			}
 		}
 	}
 	// Forward reuses its internal scratch after the first call.

@@ -3,10 +3,9 @@
 // profiling endpoint serves. It decodes the pieces resource
 // attribution needs (string table, sample types, samples with resolved
 // symbol stacks, period metadata) and layers flat/cumulative top-N
-// aggregation and A-vs-B diffing on top, so the bench harness and the
-// service capture manager can turn raw captures into named-symbol
-// tables without importing the (non-stdlib) github.com/google/pprof
-// machinery.
+// aggregation on top, so the service capture manager can turn raw
+// captures into named-symbol tables without importing the (non-stdlib)
+// github.com/google/pprof machinery.
 //
 // The wire format is protobuf; the relevant schema (profile.proto):
 //

@@ -197,35 +197,6 @@ func TestTopFlatAndCum(t *testing.T) {
 	}
 }
 
-func TestDiffProfilesAndNewSymbols(t *testing.T) {
-	base, _ := ParseData(buildTestProfile(t, true))
-	cur, _ := ParseData(buildTestProfile(t, true))
-	// Identical profiles diff to nothing.
-	if d := DiffProfiles(base, cur, "alloc_space"); len(d) != 0 {
-		t.Errorf("self-diff = %+v, want empty", d)
-	}
-	// Nil base passes cur through.
-	if d := DiffProfiles(nil, cur, "alloc_space"); len(d) != 3 {
-		t.Errorf("nil-base diff = %+v", d)
-	}
-
-	prior := []Entry{{Func: "a", Flat: 100}, {Func: "b", Flat: 50}}
-	now := []Entry{{Func: "a", Flat: 90}, {Func: "c", Flat: 60}, {Func: "d", Flat: 1}}
-	if got := NewSymbols(prior, now, 10, 10); len(got) != 1 || got[0] != "c" {
-		t.Errorf("NewSymbols = %v, want [c] (d filtered by minFlat)", got)
-	}
-	if got := NewSymbols(prior, now, 10, 0); len(got) != 2 {
-		t.Errorf("NewSymbols minFlat=0 = %v, want [c d]", got)
-	}
-	dt := DiffTop(prior, now)
-	if len(dt) != 4 {
-		t.Fatalf("DiffTop = %+v", dt)
-	}
-	if dt[0].Func != "c" || dt[0].Delta != 60 {
-		t.Errorf("DiffTop[0] = %+v", dt[0])
-	}
-}
-
 // TestAllocsProfileRoundTrip captures a real heap profile from the
 // running process and round-trips it through the decoder: the profile
 // must expose the standard four heap sample types and attribute the

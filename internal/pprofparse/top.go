@@ -3,10 +3,10 @@ package pprofparse
 import "sort"
 
 // Aggregation over decoded profiles: per-function flat/cumulative
-// totals, top-N tables, and the A-vs-B diffs the bench gate and the
-// capture manifests are built from. Flat charges a sample's value to
-// its leaf frame (the function that allocated / was on-CPU);
-// cumulative charges every distinct function on the stack once.
+// totals and the top-N tables the capture manifests are built from.
+// Flat charges a sample's value to its leaf frame (the function that
+// allocated / was on-CPU); cumulative charges every distinct function
+// on the stack once.
 
 // Entry is one function's aggregate for one value dimension.
 type Entry struct {
@@ -84,111 +84,4 @@ func sortEntries(es []Entry) {
 		}
 		return es[i].Func < es[j].Func
 	})
-}
-
-// DiffProfiles subtracts base's per-function aggregates from cur's for
-// the named sample type and returns the deltas sorted by descending
-// flat delta. With cumulative captures (Go's "allocs" profile counts
-// since process start) this isolates what happened between the two
-// snapshots. Functions whose delta is zero in both columns are
-// dropped; negative deltas (samples released between captures, only
-// possible for non-monotone dimensions) are kept so regressions and
-// recoveries both show.
-func DiffProfiles(base, cur *Profile, typeName string) []Entry {
-	if cur == nil {
-		return nil
-	}
-	curTop := cur.TopByName(typeName, 0)
-	if base == nil {
-		return curTop
-	}
-	baseIdx := map[string]Entry{}
-	for _, e := range base.TopByName(typeName, 0) {
-		baseIdx[e.Func] = e
-	}
-	out := make([]Entry, 0, len(curTop))
-	seen := map[string]bool{}
-	for _, e := range curTop {
-		b := baseIdx[e.Func]
-		seen[e.Func] = true
-		d := Entry{Func: e.Func, Flat: e.Flat - b.Flat, Cum: e.Cum - b.Cum}
-		if d.Flat != 0 || d.Cum != 0 {
-			out = append(out, d)
-		}
-	}
-	for fn, b := range baseIdx {
-		if !seen[fn] && (b.Flat != 0 || b.Cum != 0) {
-			out = append(out, Entry{Func: fn, Flat: -b.Flat, Cum: -b.Cum})
-		}
-	}
-	sortEntries(out)
-	return out
-}
-
-// DiffEntry is one function's before/after comparison.
-type DiffEntry struct {
-	Func   string `json:"func"`
-	Before int64  `json:"before"`
-	After  int64  `json:"after"`
-	Delta  int64  `json:"delta"`
-}
-
-// DiffTop compares two flat top tables (typically from two PROF
-// reports) and returns per-function before/after/delta rows sorted by
-// descending absolute delta (ties by name).
-func DiffTop(before, after []Entry) []DiffEntry {
-	b := map[string]int64{}
-	for _, e := range before {
-		b[e.Func] = e.Flat
-	}
-	seen := map[string]bool{}
-	var out []DiffEntry
-	for _, e := range after {
-		seen[e.Func] = true
-		out = append(out, DiffEntry{Func: e.Func, Before: b[e.Func], After: e.Flat, Delta: e.Flat - b[e.Func]})
-	}
-	for _, e := range before {
-		if !seen[e.Func] {
-			out = append(out, DiffEntry{Func: e.Func, Before: e.Flat, After: 0, Delta: -e.Flat})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ai, aj := out[i].Delta, out[j].Delta
-		if ai < 0 {
-			ai = -ai
-		}
-		if aj < 0 {
-			aj = -aj
-		}
-		if ai != aj {
-			return ai > aj
-		}
-		return out[i].Func < out[j].Func
-	})
-	return out
-}
-
-// NewSymbols returns the functions present in cur's top-n flat list
-// but absent from prior's top-n — the "a new symbol entered the top-10
-// flat-alloc list" signal the CI gate fires on. minFlat filters noise:
-// only newcomers whose flat value is at least minFlat are reported.
-func NewSymbols(prior, cur []Entry, n int, minFlat int64) []string {
-	if n > 0 && len(prior) > n {
-		prior = prior[:n]
-	}
-	if n > 0 && len(cur) > n {
-		cur = cur[:n]
-	}
-	known := map[string]bool{}
-	for _, e := range prior {
-		known[e.Func] = true
-	}
-	var out []string
-	for _, e := range cur {
-		if !known[e.Func] && e.Flat >= minFlat {
-			out = append(out, e.Func)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -236,3 +236,42 @@ func TestWarmSourceAllocs(t *testing.T) {
 		t.Fatalf("warm source construction allocated %d B, want < 32 KiB", warm)
 	}
 }
+
+// TestRequestAllocBudget bounds what a 2,000-access resemble-t /v1/run
+// request allocates over real HTTP, client and server sides together:
+// connection, JSON codec, admission, source construction, the run and
+// its response. Thirty sequential requests, the first of which builds
+// the worker's arms, average about 360 allocations each. The budget of
+// 4,096 is broken by two allocations per simulated access, not by one
+// (TestStepSteadyStateZeroAlloc holds the step to zero).
+// ReadAllocCounters counts heap blocks, so tiny pointer-free
+// allocations show only as the 16-byte blocks they share.
+func TestRequestAllocBudget(t *testing.T) {
+	const (
+		budget   = 4096
+		requests = 30
+	)
+	s, err := New(Config{Workers: 2, DefaultAccesses: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body, _ := json.Marshal(Request{Workload: "433.milc", Controller: "resemble-t", Accesses: 2000})
+	start := telemetry.ReadAllocCounters()
+	for i := 0; i < requests; i++ {
+		resp, err := http.Post("http://"+s.Addr()+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if allocs := (telemetry.ReadAllocCounters().Objects - start.Objects) / requests; allocs > budget {
+		t.Errorf("a request allocates %d, budget %d", allocs, budget)
+	}
+}

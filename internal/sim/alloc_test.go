@@ -63,6 +63,29 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBaselineRunAllocBudget bounds what a whole run allocates: the
+// Simulator, its caches and queues, and the Result around a step loop
+// that allocates nothing. A baseline run over a 20k-access 433.milc trace makes about
+// 12 allocations once the trace's Filter exists; 32 leaves room for
+// drift, while a per-record allocation would cost thousands.
+func TestBaselineRunAllocBudget(t *testing.T) {
+	const budget = 32
+	tr := lookupTrace(t, "433.milc", 20000)
+	r := NewRunner(DefaultConfig(), WithBaseline())
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, rerr := r.Run(tr, nil); rerr != nil {
+			err = rerr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Errorf("baseline run allocates %.0f per run, budget %d", allocs, budget)
+	}
+}
+
 // repeatingTrace tiles an n-access pointer-chasing trace reps times,
 // keeping instruction IDs increasing across repetitions.
 func repeatingTrace(n, reps int) *trace.Trace {

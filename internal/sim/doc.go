@@ -58,5 +58,6 @@
 // pending-fill queues are head-indexed FIFOs over preallocated backing
 // arrays, and cache insertions return eviction records by value. Code
 // added to this path must preserve that property — it is pinned by
-// allocation-guard tests and the cmd/bench allocation budgets.
+// TestStepSteadyStateZeroAlloc, and TestBaselineRunAllocBudget bounds
+// what a whole run allocates around it.
 package sim

@@ -1,11 +1,18 @@
 package sim
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"resemble/internal/core"
 	"resemble/internal/prefetch"
 	"resemble/internal/prefetch/bo"
+	"resemble/internal/prefetch/domino"
+	"resemble/internal/prefetch/isb"
+	"resemble/internal/prefetch/spp"
 	"resemble/internal/telemetry"
 )
 
@@ -78,6 +85,47 @@ func TestRunnerTelemetryOption(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, again) || !reflect.DeepEqual(gotWin, againWin) {
 		t.Errorf("window streams diverged across identical runs: %d vs %d windows", len(gotWin), len(againWin))
+	}
+}
+
+// TestRunChromeTraceValidates runs what `resemble -workload 433.milc
+// -controller resemble-t -n 4000 -trace-chrome F -explain D` runs — a
+// baseline run, then the tabular ensemble, on one collector — and
+// checks the Chrome trace the collector writes on Close loads
+// (ValidateChromeTraceFile) and that sampled decisions were streamed.
+func TestRunChromeTraceValidates(t *testing.T) {
+	dir := t.TempDir()
+	chrome, explain := filepath.Join(dir, "run-trace.json"), filepath.Join(dir, "decisions.jsonl")
+	tel, err := telemetry.New(telemetry.Config{ChromeOut: chrome, ExplainOut: explain, ExplainSample: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := lookupTrace(t, "433.milc", 4000)
+	r := NewRunner(DefaultConfig(), WithTelemetry(tel))
+	if _, err := r.With(WithBaseline()).Run(tr, nil); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Batch, cfg.Seed = 64, 1
+	arms := []prefetch.Prefetcher{
+		bo.New(bo.Config{}), spp.New(spp.Config{}),
+		isb.New(isb.Config{}), domino.New(domino.Config{}),
+	}
+	if _, err := r.Run(tr, core.NewTabularController(cfg, arms)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateChromeTraceFile(chrome); err != nil {
+		t.Fatal(err)
+	}
+	decisions, err := os.ReadFile(explain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(decisions, []byte("\n")) == 0 {
+		t.Fatal("no decision records written")
 	}
 }
 

@@ -181,10 +181,12 @@ func TestDisabledHotPathUnder5ns(t *testing.T) {
 // enabled-path cost of allocation attribution at window granularity:
 // one Start+End pair (two runtime/metrics reads plus the map update)
 // must stay under 2% of a telemetry window's simulation time. The
-// window cost comes from the recorded sim.step baseline — ~329
-// ns/access (BENCH_5/BENCH_6) over the 1000-access window, so the
+// window cost is a fixed figure: 329 ns/access, a baseline simulation
+// step when this budget was set, over the 1000-access window, so the
 // budget is ~6.6µs per attributed phase, a bar the ~1µs pair clears
-// with generous slack on any plausible machine.
+// with generous slack on any plausible machine. A baseline access
+// costs less today (perfbench's sim.none.ns_per_access), so the same
+// pair is a larger share of a real window than 2%.
 func TestEnabledAllocAttributionOverheadUnder2PercentOfWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion skipped in -short mode")

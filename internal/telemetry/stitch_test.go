@@ -33,6 +33,45 @@ func TestSpanRefHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseSpanRef: the trace-parent header crosses a process
+// boundary, so ParseSpanRef must never panic on arbitrary input, and
+// any ref it accepts must survive FormatSpanRef and a second parse
+// unchanged.
+func FuzzParseSpanRef(f *testing.F) {
+	for _, ref := range []SpanRef{
+		{ID: 1, Track: "freq:0000"},
+		{ID: 0xdeadbeefcafef00d, Track: "req:0042"},
+		{ID: 7},
+		{ID: 0xff, Track: "with;semicolon"},
+	} {
+		f.Add(FormatSpanRef(ref))
+	}
+	for _, header := range []string{
+		"", "nope", "123;track", // short ID
+		strings.Repeat("0", 16) + ";t", // zero ID
+		strings.Repeat("f", 16),        // no ';'
+		"zzzzzzzzzzzzzzzz;t",           // not hex
+		"0x00000000000001;t", "+000000000000001;t",
+		"DEADBEEFCAFEF00D;t", // upper case: accepted, formats lower case
+	} {
+		f.Add(header)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ref, ok := ParseSpanRef(s)
+		if !ok {
+			if ref != (SpanRef{}) {
+				t.Fatalf("rejected %q but returned %+v", s, ref)
+			}
+			return
+		}
+		again, ok := ParseSpanRef(FormatSpanRef(ref))
+		if !ok || again != ref {
+			t.Fatalf("accepted %q as %+v; its formatted form %q parses to %+v, %v",
+				s, ref, FormatSpanRef(ref), again, ok)
+		}
+	})
+}
+
 // TestAnchorSpansNormalizesSkewedClocks is the cross-process skew
 // regression: every process anchors StartUS to its own epoch, so a
 // backend started hours before (or after) the front door ships spans

@@ -20,8 +20,8 @@ go vet ./...
 echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # The allocation-free serving/step contract (DESIGN.md §13): steady-state
 # simulator stepping (bare, and under the tabular and SBP(E) ensembles
-# with the real four arms) and fixed-point forward must not allocate,
-# and Requantize must refresh parameters in place. Checkpoint bytes must
+# with the real four arms) and fixed-point and float forward must not
+# allocate, and Requantize must refresh parameters in place. Checkpoint bytes must
 # not depend on map iteration order: two identical runs give identical
 # blobs (the artifact store names them by hash). A service worker reuses
 # its prefetcher arms across requests (DESIGN.md §9): every arm's Reset
@@ -34,9 +34,12 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # batch controller must match the full-hierarchy reference model, a
 # checkpoint in the format that still carried L1D/L2 must resume to the
 # uninterrupted result, and the simulator state loader must not panic.
-go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect|TestFilterMatchesFullHierarchy|TestResumeFromOldFormatCheckpoint|FuzzSimLoadState' ./internal/sim/
+# A whole baseline run, a pooled experiment and a service request stay
+# within their allocation budgets, and a run's Chrome trace validates.
+go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestBaselineRunAllocBudget|TestRunChromeTraceValidates|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect|TestFilterMatchesFullHierarchy|TestResumeFromOldFormatCheckpoint|FuzzSimLoadState' ./internal/sim/
 go test -race -count 1 -run 'TestResetMatchesNew|TestFilterMatchesFIFO|TestOneProbeMatchesGetThenPut|TestRunningBestMatchesRescan' ./internal/prefetch/...
-go test -race -count 1 -run 'TestWarmSourceAllocs' ./internal/service/
+go test -race -count 1 -run 'TestWarmSourceAllocs|TestRequestAllocBudget' ./internal/service/
+go test -race -count 1 -run 'TestPooledFig1cAllocBudget' ./internal/experiments/
 go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
 go test -race -count 1 -run 'TestFixedForwardIntoZeroAlloc|TestRequantizeTracksRetrainedWeights' ./internal/nn/
 
@@ -81,10 +84,7 @@ go test -run DisabledHotPath -count 1 ./internal/telemetry/
 echo "== profiling round-trip (real allocs profile through pprofparse) =="
 go test -run TestAllocsProfileRoundTrip -count 1 ./internal/pprofparse/
 
-echo "== bench profiling smoke (capture + decode + top tables) =="
-go run ./cmd/bench -profile -quick >/dev/null
-
-echo "== soak smoke (resembled chaos/soak harness, chrome trace) =="
+echo "== soak smoke (resembled chaos/soak harness, self-validated chrome trace) =="
 tracetmp=$(mktemp -d)
 trap 'rm -rf "$tracetmp"' EXIT
 go run ./cmd/resembled -soak -trace-chrome "$tracetmp/soak-trace.json"
@@ -96,17 +96,6 @@ echo "== cluster soak smoke + incident demo (resemblefront chaos harness, race-e
 # a failover fleet bundle and a valid stitched cross-process Chrome
 # trace (DESIGN.md §15).
 sh scripts/incident_demo.sh "$tracetmp/incidents"
-
-echo "== chrome trace validity (parses, ts monotone per track) =="
-go run ./cmd/resemble -workload 433.milc -controller resemble-t -n 4000 \
-    -trace-chrome "$tracetmp/run-trace.json" -explain "$tracetmp/decisions.jsonl" >/dev/null
-go run ./cmd/bench -validate-chrome "$tracetmp/run-trace.json"
-go run ./cmd/bench -validate-chrome "$tracetmp/soak-trace.json"
-
-echo "== bench regression gate =="
-# Compares the two newest BENCH_*.json files; skips cleanly when the
-# history has fewer than two entries.
-go run ./cmd/bench -compare-only
 
 echo "== go test ./... =="
 go test ./...

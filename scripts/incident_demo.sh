@@ -2,9 +2,10 @@
 # incident_demo.sh — end-to-end incident flight-recorder demo. Runs the
 # cluster chaos harness with artifact capture and fails unless the
 # kill/failover phase emitted a fleet incident bundle with a failover
-# trigger and a stitched cross-process Chrome trace that validates, and
-# the wedge phase emitted its manual-capture counterparts (DESIGN.md
-# §15). Usage: scripts/incident_demo.sh [artifacts-dir] (a scratch dir
+# trigger and a stitched cross-process Chrome trace, and the wedge
+# phase emitted its manual-capture counterparts (DESIGN.md §15). The
+# harness validates each stitched trace before it writes the file and
+# exits non-zero when one is invalid. Usage: scripts/incident_demo.sh [artifacts-dir] (a scratch dir
 # is used and cleaned up when none is given), or `make incident-demo`.
 set -eu
 
@@ -29,6 +30,4 @@ if ! grep -q '"trigger": "failover"' "$dir/incident-kill.json"; then
     echo "incident-demo: kill-phase bundle carries no failover trigger" >&2
     exit 1
 fi
-go run ./cmd/bench -validate-chrome "$dir/stitched-kill.json"
-go run ./cmd/bench -validate-chrome "$dir/stitched-wedge.json"
 echo "incident-demo: OK (artifacts in $dir)"
