@@ -1,6 +1,8 @@
 package multicore
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"resemble/internal/core"
@@ -35,32 +37,111 @@ func TestEmptyInputsRejected(t *testing.T) {
 	}
 }
 
-func TestSingleCoreMatchesShape(t *testing.T) {
-	tr := trace.MustLookup("433.lbm").Generate(20000)
-	res, err := Run(DefaultConfig(), []Core{{Trace: tr}})
-	if err != nil {
-		t.Fatal(err)
+// TestSingleCoreMatchesSim holds a one-core run to the single-core
+// simulator: with the core's LLC, DRAM channel and in-flight fills to
+// itself, it must reproduce sim's result exactly, with no source and
+// with a prefetcher.
+func TestSingleCoreMatchesSim(t *testing.T) {
+	sources := map[string]func() sim.Source{
+		"none": func() sim.Source { return nil },
+		"bo":   func() sim.Source { return sim.FromPrefetcher(bo.New(bo.Config{}), 4) },
 	}
-	if len(res.PerCore) != 1 {
-		t.Fatalf("cores = %d", len(res.PerCore))
+	var boIssued uint64
+	for _, name := range []string{"433.lbm", "471.omnetpp", "429.mcf", "433.milc"} {
+		tr := trace.MustLookup(name).Generate(20000)
+		for srcName, mk := range sources {
+			t.Run(name+"/"+srcName, func(t *testing.T) {
+				res, err := Run(DefaultConfig(), []Core{{Trace: tr, Source: mk()}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.PerCore) != 1 {
+					t.Fatalf("cores = %d", len(res.PerCore))
+				}
+				want, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, mk())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := res.PerCore[0].Result
+				for _, f := range []struct {
+					name      string
+					got, want any
+				}{
+					{"Instructions", got.Instructions, want.Instructions},
+					{"Cycles", got.Cycles, want.Cycles},
+					{"IPC", got.IPC, want.IPC},
+					{"LLCAccesses", got.LLCAccesses, want.LLCAccesses},
+					{"LLCMisses", got.LLCMisses, want.LLCMisses},
+					{"PrefetchesIssued", got.PrefetchesIssued, want.PrefetchesIssued},
+					{"LatePrefetchHits", got.LatePrefetchHits, want.LatePrefetchHits},
+				} {
+					if f.got != f.want {
+						t.Errorf("%s = %v, sim gives %v", f.name, f.got, f.want)
+					}
+				}
+				if srcName == "bo" {
+					boIssued += got.PrefetchesIssued
+				}
+			})
+		}
 	}
-	r := res.PerCore[0].Result
-	if r.IPC <= 0 || r.IPC > 4 {
-		t.Errorf("IPC = %v out of range", r.IPC)
+	if boIssued == 0 {
+		t.Error("bo issued no prefetches on any workload")
 	}
-	if r.LLCMisses == 0 {
-		t.Error("streaming trace should miss the shared LLC")
+}
+
+// fingerprint renders every field of a per-core result, floats as
+// their bits, so a fingerprint match means an identical result.
+func fingerprint(cr CoreResult) string {
+	r := cr.Result
+	return fmt.Sprintf("%d %s/%s instr=%d cycles=%#x ipc=%#x llc=%d miss=%d mpki=%#x issued=%d useful=%d late=%d dropped=%d acc=%#x cov=%#x caches=%v",
+		cr.Core, r.Workload, r.Source, r.Instructions, math.Float64bits(r.Cycles), math.Float64bits(r.IPC),
+		r.LLCAccesses, r.LLCMisses, math.Float64bits(r.MPKI), r.PrefetchesIssued, r.UsefulPrefetches,
+		r.LatePrefetchHits, r.DroppedPrefetches, math.Float64bits(r.Accuracy), math.Float64bits(r.Coverage), r.Caches)
+}
+
+// TestFourCoreFingerprint pins every per-core result of a 4-core mix,
+// with and without a bo prefetcher on each core, to the values the
+// model gave when they were recorded. Any change to the shared timing
+// model that moves a single cycle fails it.
+func TestFourCoreFingerprint(t *testing.T) {
+	want := map[string][]string{
+		"none": {
+			"0 433.lbm/none instr=260868 cycles=0x4106ebb600000000 ipc=0x3ff63aa70b2e4c3b llc=6400 miss=6400 mpki=0x403888922e27833d issued=0 useful=0 late=0 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"1 471.omnetpp/none instr=441995 cycles=0x4111445b00000000 ipc=0x3ff8ff69b6a442ee llc=6400 miss=6400 mpki=0x402cf5a89521603e issued=0 useful=0 late=0 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"2 602.gcc/none instr=319032 cycles=0x410ae0d000000000 ipc=0x3ff72ec737e4b5d0 llc=6400 miss=6400 mpki=0x40340f88f55312de issued=0 useful=0 late=0 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"3 gap.bfs/none instr=25861 cycles=0x40dced5000000000 ipc=0x3febf0126cfa161f llc=3573 miss=2572 mpki=0x4058dd1b12efdac8 issued=0 useful=0 late=0 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+		},
+		"bo": {
+			"0 433.lbm/bo instr=260868 cycles=0x40fdc7a400000000 ipc=0x40011bf128ebace2 llc=6400 miss=900 mpki=0x400b99a473ec73a4 issued=5500 useful=3605 late=3605 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"1 471.omnetpp/bo instr=441995 cycles=0x41119d0b00000000 ipc=0x3ff8818b4b6602fd llc=6400 miss=6400 mpki=0x402cf5a89521603e issued=0 useful=0 late=0 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"2 602.gcc/bo instr=319032 cycles=0x4105ad4a00000000 ipc=0x3ffcbecc3ae97c2c llc=6400 miss=2621 mpki=0x40206e52fa375293 issued=5518 useful=2560 late=2560 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+			"3 gap.bfs/bo instr=25861 cycles=0x40e50e3800000000 ipc=0x3fe330e92b449bd5 llc=3573 miss=2419 mpki=0x4057627752ce46e6 issued=2296 useful=62 late=62 dropped=0 acc=0x0 cov=0x0 caches=map[]",
+		},
 	}
-	// A single-core multicore run should be in the same ballpark as the
-	// single-core simulator (identical timing model, shared structures
-	// degenerate).
-	solo, err := sim.NewRunner(sim.DefaultConfig(), sim.WithBaseline()).Run(tr, nil)
-	if err != nil {
-		t.Fatal(err)
+	mix := []string{"433.lbm", "471.omnetpp", "602.gcc", "gap.bfs"}
+	traces := make([]*trace.Trace, len(mix))
+	for i, name := range mix {
+		traces[i] = trace.MustLookup(name).Generate(8000)
 	}
-	ratio := r.IPC / solo.IPC
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("single-core multicore IPC %.3f deviates from solo %.3f", r.IPC, solo.IPC)
+	for _, srcName := range []string{"none", "bo"} {
+		cores := make([]Core, len(mix))
+		for i, tr := range traces {
+			cores[i].Trace = tr
+			if srcName == "bo" {
+				cores[i].Source = sim.FromPrefetcher(bo.New(bo.Config{}), 4)
+			}
+		}
+		res, err := Run(DefaultConfig(), cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cr := range res.PerCore {
+			got := fingerprint(cr)
+			if got != want[srcName][i] {
+				t.Errorf("%s core %d:\ngot  %s\nwant %s", srcName, i, got, want[srcName][i])
+			}
+		}
 	}
 }
 
