@@ -4,12 +4,15 @@
 // private L1D/L2 caches and its own prefetch source (e.g. a per-core
 // ReSemble controller); all cores share the LLC and the DRAM channel,
 // so prefetching decisions interact through capacity contention and
-// bandwidth. A core's private L1D/L2 outcome depends on its trace
-// alone, so it is read from the trace's shared sim.Filter.
+// bandwidth.
 //
-// The timing model is the same ROB/issue-width-bounded model as the
-// single-core simulator; cores are interleaved event-style by advancing
-// whichever core has the smallest dispatch clock.
+// The timing model is sim's own: each core is a sim.Core, built by
+// sim.NewCores over one shared LLC, DRAM channel and set of in-flight
+// prefetch fills, with the single-core simulator's ROB, issue width,
+// private-hierarchy Filter and counters. A one-core run therefore
+// gives sim's result exactly. This package owns only the
+// configuration, the interleave (event-style: advance whichever core
+// has the smallest dispatch clock) and the per-core result mapping.
 package multicore
 
 import (
@@ -18,7 +21,6 @@ import (
 	"resemble/internal/cache"
 	"resemble/internal/mem"
 	"resemble/internal/metrics"
-	"resemble/internal/prefetch"
 	"resemble/internal/sim"
 	"resemble/internal/trace"
 )
@@ -58,8 +60,9 @@ type CoreResult struct {
 // Result aggregates a multi-core run.
 type Result struct {
 	PerCore []CoreResult
-	// SharedLLC holds the shared cache's stats over the measured
-	// region.
+	// SharedLLC holds the shared cache's stats from the last core's
+	// warmup boundary to the end of the run: each core's boundary
+	// restarts them, so on one core they cover its measured region.
 	SharedLLC cache.Stats
 	// AvgIPC is the arithmetic mean of the per-core IPCs.
 	AvgIPC float64
@@ -80,35 +83,6 @@ func (r Result) WeightedSpeedup(base Result) float64 {
 	return sum / float64(len(r.PerCore))
 }
 
-// coreState is the per-core timing and hierarchy state.
-type coreState struct {
-	id       int
-	trace    *trace.Trace
-	source   sim.Source
-	priv     *sim.Filter // private L1D/L2 outcome of each record
-	next     int         // next record index
-	warmupAt int
-
-	dispatch, retire float64
-	lastID           uint64
-	robQ             []loadRetire
-
-	// Measured-region counters.
-	instrBase   uint64
-	cyclesBase  float64
-	llcAccesses uint64
-	llcMisses   uint64
-	issued      uint64
-	lateUseful  uint64
-	accessIdx   int
-	relocate    mem.Addr
-}
-
-type loadRetire struct {
-	id     uint64
-	retire float64
-}
-
 // Run simulates the cores to completion and returns per-core results.
 func Run(cfg Config, cores []Core) (Result, error) {
 	if len(cores) == 0 {
@@ -117,273 +91,50 @@ func Run(cfg Config, cores []Core) (Result, error) {
 	if err := cfg.Sim.Validate(); err != nil {
 		return Result{}, err
 	}
-	m := &machine{cfg: cfg}
-	m.llc = cache.New(cfg.Sim.LLC)
-	m.pendingSet = make(map[mem.Line]float64)
-	m.states = make([]*coreState, len(cores))
+	traces := make([]*trace.Trace, len(cores))
+	srcs := make([]sim.Source, len(cores))
+	offsets := make([]mem.Addr, len(cores))
 	for i, c := range cores {
 		if c.Trace == nil || c.Trace.Len() == 0 {
 			return Result{}, fmt.Errorf("multicore: core %d has an empty trace", i)
 		}
-		cs := &coreState{
-			id:       i,
-			trace:    c.Trace,
-			source:   c.Source,
-			priv:     sim.FilterFor(c.Trace, cfg.Sim),
-			warmupAt: int(float64(c.Trace.Len()) * cfg.Sim.WarmupFraction),
-		}
+		traces[i], srcs[i] = c.Trace, c.Source
 		if cfg.RelocateCores {
 			// The shift is a multiple of every power-of-two set count
 			// times the line size, so set indexes and tag comparisons in
 			// the private caches, and with them the Filter, are unchanged.
-			cs.relocate = mem.Addr(i) << 42
+			offsets[i] = mem.Addr(i) << 42
 		}
-		m.states[i] = cs
 	}
-	m.run()
-	return m.result(), nil
-}
-
-// machine holds the shared components.
-type machine struct {
-	cfg Config
-
-	llc          *cache.Cache
-	mshr         []float64
-	dramNextFree float64
-	pending      []pendingFill
-	pendingSet   map[mem.Line]float64
-
-	states []*coreState
-}
-
-type pendingFill struct {
-	line mem.Line
-	fill float64
-}
-
-func (m *machine) run() {
+	machine := sim.NewCores(cfg.Sim, traces, srcs, offsets)
 	for {
 		// Advance the unfinished core with the smallest dispatch clock.
-		var cs *coreState
-		for _, s := range m.states {
-			if s.next >= s.trace.Len() {
-				continue
-			}
-			if cs == nil || s.dispatch < cs.dispatch {
-				cs = s
+		var next *sim.Core
+		for _, c := range machine {
+			if !c.Done() && (next == nil || c.Clock() < next.Clock()) {
+				next = c
 			}
 		}
-		if cs == nil {
-			return
-		}
-		i := cs.next
-		rec := cs.trace.Records[i]
-		if i == cs.warmupAt {
-			m.resetCore(cs, rec.ID)
-		}
-		cs.next++
-		m.step(cs, rec, cs.priv.Level(i))
-	}
-}
-
-func (m *machine) resetCore(cs *coreState, firstID uint64) {
-	cs.instrBase = firstID
-	cs.cyclesBase = cs.retire
-	if cs.dispatch > cs.cyclesBase {
-		cs.cyclesBase = cs.dispatch
-	}
-	cs.llcAccesses = 0
-	cs.llcMisses = 0
-	cs.issued = 0
-	cs.lateUseful = 0
-}
-
-// step mirrors the single-core timing model with shared LLC/DRAM.
-func (m *machine) step(cs *coreState, rec trace.Record, lvl sim.Level) {
-	w := float64(m.cfg.Sim.IssueWidth)
-	gapInstr := float64(rec.ID - cs.lastID)
-	dispatch := cs.dispatch + gapInstr/w
-	if rec.ID >= uint64(m.cfg.Sim.ROB) {
-		if rt, ok := cs.retireTimeOf(rec.ID-uint64(m.cfg.Sim.ROB), m.cfg.Sim.IssueWidth); ok && rt > dispatch {
-			dispatch = rt
-		}
-	}
-	m.commitFills(dispatch)
-
-	lat := m.access(cs, rec, lvl, dispatch)
-
-	completion := dispatch + lat
-	retire := cs.retire + gapInstr/w
-	if completion > retire {
-		retire = completion
-	}
-	cs.dispatch = dispatch
-	cs.retire = retire
-	cs.lastID = rec.ID
-	cs.robQ = append(cs.robQ, loadRetire{id: rec.ID, retire: retire})
-	for len(cs.robQ) > 1 && cs.robQ[1].id+uint64(m.cfg.Sim.ROB) <= rec.ID {
-		cs.robQ = cs.robQ[1:]
-	}
-}
-
-func (cs *coreState) retireTimeOf(id uint64, width int) (float64, bool) {
-	var best *loadRetire
-	for i := len(cs.robQ) - 1; i >= 0; i-- {
-		if cs.robQ[i].id <= id {
-			best = &cs.robQ[i]
+		if next == nil {
 			break
 		}
-	}
-	if best == nil {
-		return 0, false
-	}
-	return best.retire + float64(id-best.id)/float64(width), true
-}
-
-func (m *machine) access(cs *coreState, rec trace.Record, lvl sim.Level, now float64) float64 {
-	switch lvl {
-	case sim.L1DHit:
-		return float64(m.cfg.Sim.L1D.Latency)
-	case sim.L2Hit:
-		return float64(m.cfg.Sim.L2.Latency)
-	}
-	addr := rec.Addr + cs.relocate
-	line := mem.LineOf(addr)
-	cs.accessIdx++
-	cs.llcAccesses++
-	hit, firstUse := m.llc.Access(line)
-	var lat float64
-	switch {
-	case hit:
-		lat = float64(m.cfg.Sim.LLC.Latency)
-	default:
-		if fill, ok := m.pendingSet[line]; ok {
-			cs.lateUseful++
-			remaining := fill - now
-			if remaining < float64(m.cfg.Sim.LLC.Latency) {
-				remaining = float64(m.cfg.Sim.LLC.Latency)
-			}
-			lat = remaining
-			delete(m.pendingSet, line)
-			m.llc.Insert(line, false)
-		} else {
-			cs.llcMisses++
-			start := m.dramIssue(now)
-			lat = (start - now) + float64(m.cfg.Sim.LLC.Latency) + float64(m.cfg.Sim.DRAMLatency)
-			m.llc.Insert(line, false)
-		}
+		next.Step()
 	}
 
-	if cs.source != nil {
-		ctx := prefetch.AccessContext{
-			Index:       cs.accessIdx,
-			ID:          rec.ID,
-			PC:          rec.PC,
-			Addr:        addr,
-			Line:        line,
-			Hit:         hit,
-			PrefetchHit: firstUse,
-		}
-		m.issuePrefetches(cs, cs.source.OnAccess(ctx), now)
-	}
-	return lat
-}
-
-func (m *machine) dramIssue(now float64) float64 {
-	start := now
-	if start < m.dramNextFree {
-		start = m.dramNextFree
-	}
-	if len(m.mshr) >= m.cfg.Sim.LLC.MSHRs {
-		oldest := m.mshr[0]
-		m.mshr = m.mshr[1:]
-		if oldest > start {
-			start = oldest
-		}
-	}
-	for len(m.mshr) > 0 && m.mshr[0] <= start {
-		m.mshr = m.mshr[1:]
-	}
-	m.mshr = append(m.mshr, start+float64(m.cfg.Sim.DRAMLatency))
-	m.dramNextFree = start + float64(m.cfg.Sim.DRAMInterval)
-	return start
-}
-
-func (m *machine) issuePrefetches(cs *coreState, lines []mem.Line, now float64) {
-	n := 0
-	for _, line := range lines {
-		if n >= m.cfg.Sim.MaxDegree {
-			break
-		}
-		n++
-		if m.llc.Contains(line) {
-			continue
-		}
-		if _, inFlight := m.pendingSet[line]; inFlight {
-			continue
-		}
-		issue := now + float64(m.cfg.Sim.PrefetchLatency)
-		start := m.dramIssue(issue)
-		fill := start + float64(m.cfg.Sim.DRAMLatency) + float64(m.cfg.Sim.LLC.Latency)
-		cs.issued++
-		m.pending = append(m.pending, pendingFill{line: line, fill: fill})
-		m.pendingSet[line] = fill
-	}
-}
-
-func (m *machine) commitFills(now float64) {
-	i := 0
-	for ; i < len(m.pending); i++ {
-		p := m.pending[i]
-		if p.fill > now {
-			break
-		}
-		if _, still := m.pendingSet[p.line]; !still {
-			continue
-		}
-		delete(m.pendingSet, p.line)
-		m.llc.Insert(p.line, true)
-	}
-	m.pending = m.pending[i:]
-}
-
-func (m *machine) result() Result {
 	var res Result
-	res.SharedLLC = m.llc.Stats()
-	var ipcs []float64
-	for _, cs := range m.states {
-		r := sim.Result{
-			Workload: cs.trace.Name,
-			Source:   "none",
-		}
-		if cs.source != nil {
-			r.Source = cs.source.Name()
-		}
-		r.Instructions = cs.trace.Instructions() - cs.instrBase
-		end := cs.retire
-		if cs.dispatch > end {
-			end = cs.dispatch
-		}
-		r.Cycles = end - cs.cyclesBase
-		if r.Cycles > 0 {
-			r.IPC = float64(r.Instructions) / r.Cycles
-		}
-		r.LLCAccesses = cs.llcAccesses
-		r.LLCMisses = cs.llcMisses
-		r.PrefetchesIssued = cs.issued
-		r.LatePrefetchHits = cs.lateUseful
+	ipcs := make([]float64, len(machine))
+	for i, c := range machine {
+		r := c.Result()
+		res.SharedLLC = r.Caches["LLC"]
 		// Shared-LLC useful prefetches cannot be attributed per core:
 		// late hits are per-core, in-cache useful counts are shared
 		// (Result.SharedLLC). Per-core useful reports the late hits
-		// only.
-		r.UsefulPrefetches = cs.lateUseful
-		if r.Instructions > 0 {
-			r.MPKI = float64(r.LLCMisses) * 1000 / float64(r.Instructions)
-		}
-		res.PerCore = append(res.PerCore, CoreResult{Core: cs.id, Result: r})
-		ipcs = append(ipcs, r.IPC)
+		// only, and the ratios built on it are left unset.
+		r.UsefulPrefetches = r.LatePrefetchHits
+		r.Accuracy, r.Coverage, r.Caches = 0, 0, nil
+		res.PerCore = append(res.PerCore, CoreResult{Core: i, Result: r})
+		ipcs[i] = r.IPC
 	}
 	res.AvgIPC = metrics.Mean(ipcs)
-	return res
+	return res, nil
 }

@@ -90,6 +90,27 @@ func TestSingleCoreMatchesSim(t *testing.T) {
 	}
 }
 
+// TestSingleCoreSharedLLCIsMeasuredRegion: on one core the shared
+// LLC's statistics cover exactly sim's measured region, warmup left
+// out.
+func TestSingleCoreSharedLLCIsMeasuredRegion(t *testing.T) {
+	tr := trace.MustLookup("433.milc").Generate(20000)
+	res, err := Run(DefaultConfig(), []Core{{Trace: tr, Source: sim.FromPrefetcher(bo.New(bo.Config{}), 4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, sim.FromPrefetcher(bo.New(bo.Config{}), 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.SharedLLC; got != want.Caches["LLC"] {
+		t.Errorf("SharedLLC = %+v, sim's measured LLC = %+v", got, want.Caches["LLC"])
+	}
+	if res.SharedLLC.Accesses != res.PerCore[0].Result.LLCAccesses {
+		t.Errorf("SharedLLC counts %d accesses, the core's measured region %d", res.SharedLLC.Accesses, res.PerCore[0].Result.LLCAccesses)
+	}
+}
+
 // fingerprint renders every field of a per-core result, floats as
 // their bits, so a fingerprint match means an identical result.
 func fingerprint(cr CoreResult) string {

@@ -241,11 +241,11 @@ func TestWarmSourceAllocs(t *testing.T) {
 // request allocates over real HTTP, client and server sides together:
 // connection, JSON codec, admission, source construction, the run and
 // its response. Thirty sequential requests, the first of which builds
-// the worker's arms, average about 360 allocations each. The budget of
+// the worker's arms, average 320-385 allocations each. The budget of
 // 4,096 is broken by two allocations per simulated access, not by one
 // (TestStepSteadyStateZeroAlloc holds the step to zero).
-// ReadAllocCounters counts heap blocks, so tiny pointer-free
-// allocations show only as the 16-byte blocks they share.
+// ReadAllocCounters counts every object, tiny pointer-free ones packed
+// into a shared 16-byte block included.
 func TestRequestAllocBudget(t *testing.T) {
 	const (
 		budget   = 4096

@@ -46,18 +46,20 @@
 // verbatim to the Runner, so experiment code and direct simulator use
 // share one configuration path.
 //
-// The legacy entry points (Run, RunBaseline, RunWithTelemetry,
-// RunResumable and the RunOpts carrier) have been removed after their
-// deprecation release; Runner options are the only way to configure a
-// run.
-//
 // # Hot-path allocation discipline
 //
-// The steady-state per-record path (step → access → dramIssue /
-// issuePrefetches / commitFills) allocates nothing: the MSHR, ROB and
-// pending-fill queues are head-indexed FIFOs over preallocated backing
-// arrays, and cache insertions return eviction records by value. Code
-// added to this path must preserve that property — it is pinned by
+// The per-record path (step → access → dramIssue / issuePrefetches /
+// commitFills) runs on a Simulator: one core's state (clocks, ROB
+// window, measured-region counters, access index, low-throughput busy
+// time, telemetry window) and the shared state (the LLC, the MSHR
+// queue, the DRAM channel and the in-flight prefetch fills), both held
+// by value. NewCores runs several cores over one shared state by
+// copying the stepping core's state in and out, which is how
+// internal/multicore runs this same model. In steady state the path
+// allocates nothing: the MSHR, ROB and pending-fill queues are
+// head-indexed FIFOs over preallocated backing arrays, and cache
+// insertions return eviction records by value. Code added to this path
+// must preserve that property — it is pinned by
 // TestStepSteadyStateZeroAlloc, and TestBaselineRunAllocBudget bounds
 // what a whole run allocates around it.
 package sim

@@ -161,40 +161,44 @@ type loadRetire struct {
 	retire float64 // cycle the load retires
 }
 
-// Simulator runs traces through the LLC, DRAM and timing model. The
-// private L1D/L2 are not simulated per run: each record's outcome there
-// comes from the trace's shared Filter.
-type Simulator struct {
-	cfg Config
-
-	llc *cache.Cache
-	// priv is the private-hierarchy outcome of the trace being run
-	// (set by simulate; result reads its L1D/L2 statistics).
-	priv *Filter
-
-	// Timing state. The three FIFO queues (mshr, robQ, pending) are
-	// head-indexed: consuming the front advances the head instead of
-	// reslicing (s = s[1:] forces append to reallocate the backing array
-	// every few pushes), and pushes compact the live region back to the
-	// start once the backing array fills. Live contents are
-	// buf[head:len(buf)], oldest first; steady state allocates nothing.
-	dispatch     float64 // dispatch clock of the most recent load
-	retire       float64 // retire clock of the most recent load
-	lastID       uint64  // instruction id of the most recent load
+// sharedState is the part of the memory system every core sees: the
+// LLC, the DRAM channel and the prefetch fills in flight to the LLC.
+//
+// The FIFO queues (mshr, pending, and coreState's robQ) are
+// head-indexed: consuming the front advances the head instead of
+// reslicing (s = s[1:] forces append to reallocate the backing array
+// every few pushes), and pushes compact the live region back to the
+// start once the backing array fills. Live contents are
+// buf[head:len(buf)], oldest first; steady state allocates nothing.
+type sharedState struct {
+	llc          *cache.Cache
 	mshr         []float64
 	mshrHead     int
 	dramNextFree float64
-	robQ         []loadRetire
-	robHead      int
 
-	// Prefetch state.
 	pending  []pendingFill // FIFO by fill time
 	pendHead int
 	// pendingSet maps in-flight line -> fill time (float64 bits). A flat
 	// open-addressed table: in-flight membership is probed on every miss
 	// and every candidate prefetch, making this the hottest map in the
 	// simulator.
-	pendingSet   *flatmap.Map
+	pendingSet *flatmap.Map
+}
+
+// coreState is one core's part: its timing, counters and telemetry.
+type coreState struct {
+	// priv is the private-hierarchy outcome of the trace being run
+	// (set by simulate or NewCores; result reads its L1D/L2 statistics).
+	priv *Filter
+	// offset is added to every record's address before the LLC line is
+	// taken (a core's relocation on a multi-core machine; 0 otherwise).
+	offset mem.Addr
+
+	dispatch     float64 // dispatch clock of the most recent load
+	retire       float64 // retire clock of the most recent load
+	lastID       uint64  // instruction id of the most recent load
+	robQ         []loadRetire
+	robHead      int
 	ctrlBusyTill float64 // low-TP controller availability
 
 	// Counters (reset at warmup boundary).
@@ -233,6 +237,17 @@ type Simulator struct {
 	hOccupancy                 *telemetry.Histogram
 }
 
+// Simulator runs traces through the LLC, DRAM and timing model: one
+// core's state over the shared memory side, both held by value so the
+// per-record path reaches every field in one load. The private L1D/L2
+// are not simulated per run: each record's outcome there comes from
+// the trace's shared Filter.
+type Simulator struct {
+	cfg Config
+	sharedState
+	coreState
+}
+
 // AttachTelemetry wires the simulator to a collector: registry
 // counters for the memory-system events, per-window snapshot emission,
 // and sampled event tracing. A nil collector detaches.
@@ -260,19 +275,29 @@ func New(cfg Config) *Simulator {
 	if cfg.MaxDegree <= 0 {
 		cfg.MaxDegree = 1
 	}
-	s := &Simulator{cfg: cfg}
-	s.llc = cache.New(cfg.LLC)
-	s.pendingSet = flatmap.New(64)
-	s.mshr = make([]float64, 0, cfg.LLC.MSHRs)
-	// The ROB queue holds at most one entry per id in a ROB-sized window
-	// plus the retained predecessor and the just-appended record; sizing
-	// it up front means the append in step never grows it.
-	s.robQ = make([]loadRetire, 0, cfg.ROB+2)
-	s.pending = make([]pendingFill, 0, 64)
-	return s
+	return &Simulator{
+		cfg: cfg,
+		sharedState: sharedState{
+			llc:        cache.New(cfg.LLC),
+			mshr:       make([]float64, 0, cfg.LLC.MSHRs),
+			pending:    make([]pendingFill, 0, 64),
+			pendingSet: flatmap.New(64),
+		},
+		coreState: newCoreState(cfg),
+	}
 }
 
-// resetMeasurement marks the warmup boundary.
+// newCoreState returns a core's initial state. The ROB queue holds at
+// most one entry per id in a ROB-sized window plus the retained
+// predecessor and the just-appended record; sizing it up front means
+// the append in step never grows it.
+func newCoreState(cfg Config) coreState {
+	return coreState{robQ: make([]loadRetire, 0, cfg.ROB+2)}
+}
+
+// resetMeasurement marks the core's warmup boundary. It also restarts
+// the LLC's statistics, so where cores share the LLC these cover the
+// run from the last core's boundary on.
 func (s *Simulator) resetMeasurement(firstID uint64) {
 	s.instrBase = firstID
 	s.cyclesBase = s.retireClock()
@@ -373,7 +398,8 @@ func (s *Simulator) access(rec trace.Record, lvl Level, now float64, src Source)
 	}
 
 	// LLC access: this is the stream prefetchers observe.
-	line := rec.Line()
+	addr := rec.Addr + s.offset
+	line := mem.LineOf(addr)
 	s.accessIdx++
 	s.llcAccesses++
 	s.win.Accesses++
@@ -416,7 +442,7 @@ func (s *Simulator) access(rec trace.Record, lvl Level, now float64, src Source)
 	if s.tel != nil {
 		s.tel.Trace(telemetry.Event{
 			Seq: uint64(s.accessIdx), Cycle: now, Kind: kind,
-			PC: rec.PC, Addr: uint64(rec.Addr),
+			PC: rec.PC, Addr: uint64(addr),
 		})
 	}
 	if src != nil {
@@ -424,7 +450,7 @@ func (s *Simulator) access(rec trace.Record, lvl Level, now float64, src Source)
 			Index:       s.accessIdx,
 			ID:          rec.ID,
 			PC:          rec.PC,
-			Addr:        rec.Addr,
+			Addr:        addr,
 			Line:        line,
 			Hit:         hit,
 			PrefetchHit: firstUse,

@@ -21,34 +21,39 @@ import (
 // is off by default everywhere output is byte-compared.
 
 // allocMetricNames are the runtime/metrics counters sampled by
-// readAllocTick, in tick field order.
-var allocMetricNames = [2]string{
+// readAllocTick. /gc/heap/allocs:objects counts heap blocks, and a
+// 16-byte tiny block holds several pointer-free objects smaller than
+// 16 B; /gc/heap/tiny/allocs:objects counts the objects packed into
+// blocks already counted, so the two add up to the count
+// runtime.MemStats.Mallocs and testing.AllocsPerRun report.
+var allocMetricNames = [3]string{
 	"/gc/heap/allocs:bytes",
 	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
 }
 
 // allocTick is one sample of the cumulative process allocation
 // counters.
 type allocTick struct {
 	bytes   uint64
-	objects uint64
+	objects uint64 // heap blocks plus tiny objects
 }
 
 // readAllocTick samples the cumulative allocation counters. The sample
 // buffer is stack-allocated, so concurrent readers do not contend.
 func readAllocTick() allocTick {
-	var s [2]metrics.Sample
-	s[0].Name = allocMetricNames[0]
-	s[1].Name = allocMetricNames[1]
+	var s [3]metrics.Sample
+	for i, name := range allocMetricNames {
+		s[i].Name = name
+	}
 	metrics.Read(s[:])
-	var t allocTick
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		t.bytes = s[0].Value.Uint64()
+	var v [3]uint64
+	for i := range s {
+		if s[i].Value.Kind() == metrics.KindUint64 {
+			v[i] = s[i].Value.Uint64()
+		}
 	}
-	if s[1].Value.Kind() == metrics.KindUint64 {
-		t.objects = s[1].Value.Uint64()
-	}
-	return t
+	return allocTick{bytes: v[0], objects: v[1] + v[2]}
 }
 
 // PhaseAlloc is the accumulated allocation attribution of one phase

@@ -22,8 +22,6 @@ var runtimeGaugeNames = []struct {
 	{"/memory/classes/heap/objects:bytes", "runtime.heap.live.bytes"},
 	{"/gc/heap/objects:objects", "runtime.heap.live.objects"},
 	{"/gc/heap/goal:bytes", "runtime.gc.goal.bytes"},
-	{"/gc/heap/allocs:bytes", "runtime.alloc.total.bytes"},
-	{"/gc/heap/allocs:objects", "runtime.alloc.total.objects"},
 	{"/sched/goroutines:goroutines", "runtime.goroutines"},
 }
 
@@ -57,6 +55,11 @@ func UpdateRuntimeMetrics(reg *Registry) {
 			reg.Gauge(g.gauge).Set(float64(samples[i].Value.Uint64()))
 		}
 	}
+	// The allocation totals share readAllocTick's object count, tiny
+	// objects included.
+	t := readAllocTick()
+	reg.Gauge("runtime.alloc.total.bytes").Set(float64(t.bytes))
+	reg.Gauge("runtime.alloc.total.objects").Set(float64(t.objects))
 	for i, h := range runtimeHistNames {
 		s := samples[len(runtimeGaugeNames)+i]
 		if s.Value.Kind() != metrics.KindFloat64Histogram {

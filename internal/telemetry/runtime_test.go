@@ -106,6 +106,37 @@ func TestHistQuantile(t *testing.T) {
 	}
 }
 
+// tinySink keeps the tiny allocations below on the heap.
+var tinySink *uint64
+
+// TestReadAllocCountersCountTinyObjects: pointer-free objects under
+// 16 B share 16-byte tiny blocks, and each must count as one object,
+// as it does in runtime.MemStats.Mallocs, both in ReadAllocCounters and
+// in a phase's attribution. The counters advance only when a P's
+// allocation cache is flushed, which runtime.GC does for every P.
+func TestReadAllocCountersCountTinyObjects(t *testing.T) {
+	const n = 1 << 14
+	tel, err := New(Config{AllocAttribution: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	a := ReadAllocCounters()
+	p := tel.StartAllocPhase("tiny")
+	for i := 0; i < n; i++ {
+		tinySink = new(uint64)
+	}
+	runtime.GC()
+	p.End()
+	b := ReadAllocCounters()
+	if got := b.Objects - a.Objects; got < n {
+		t.Errorf("ReadAllocCounters counts %d objects for %d tiny allocations", got, n)
+	}
+	if pas := tel.PhaseAllocs(); len(pas) != 1 || pas[0].AllocObjects < n {
+		t.Errorf("phase attribution for %d tiny allocations: %+v", n, pas)
+	}
+}
+
 func TestReadAllocCounters(t *testing.T) {
 	a := ReadAllocCounters()
 	buf := make([]byte, 1<<20)

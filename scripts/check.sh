@@ -36,15 +36,19 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # uninterrupted result, and the simulator state loader must not panic.
 # A whole baseline run, a pooled experiment and a service request stay
 # within their allocation budgets, and a run's Chrome trace validates.
+# The multi-core machine steps sim's cores over a shared LLC/DRAM: one
+# core must equal a sim run exactly, and a 4-core mix must keep its
+# recorded per-core results.
 go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestBaselineRunAllocBudget|TestRunChromeTraceValidates|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect|TestFilterMatchesFullHierarchy|TestResumeFromOldFormatCheckpoint|FuzzSimLoadState' ./internal/sim/
+go test -race -count 1 -run 'TestSingleCoreMatchesSim|TestSingleCoreSharedLLCIsMeasuredRegion|TestFourCoreFingerprint' ./internal/multicore/
 go test -race -count 1 -run 'TestResetMatchesNew|TestFilterMatchesFIFO|TestOneProbeMatchesGetThenPut|TestRunningBestMatchesRescan' ./internal/prefetch/...
 go test -race -count 1 -run 'TestWarmSourceAllocs|TestRequestAllocBudget' ./internal/service/
 go test -race -count 1 -run 'TestPooledFig1cAllocBudget' ./internal/experiments/
 go test -race -count 1 -run 'TestFIFO|TestQueue' ./internal/flatmap/
 go test -race -count 1 -run 'TestFixedForwardIntoZeroAlloc|TestRequantizeTracksRetrainedWeights' ./internal/nn/
 
-echo "== go test -race (telemetry, sim) =="
-go test -race ./internal/telemetry/... ./internal/sim/...
+echo "== go test -race (telemetry, sim, multicore) =="
+go test -race ./internal/telemetry/... ./internal/sim/... ./internal/multicore/...
 
 echo "== flight recorder + metrics history + trace stitching (race-enabled quick gate) =="
 # The incident/tracing layer (DESIGN.md §15): concurrent ring writes,
