@@ -138,9 +138,12 @@ func (c *Collector) StartAllocPhase(name string) AllocPhase {
 
 // End closes the phase and charges the allocation delta.
 func (p AllocPhase) End() {
-	if p.c == nil {
-		return
+	if p.c != nil {
+		p.end()
 	}
+}
+
+func (p AllocPhase) end() {
 	now := readAllocTick()
 	p.c.recordPhaseAlloc(p.name, now.bytes-p.start.bytes, now.objects-p.start.objects)
 }

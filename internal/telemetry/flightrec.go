@@ -127,9 +127,12 @@ func (r *FlightRecorder) SetProcess(name string) {
 // Note appends one event to the ring. Nil-safe and cheap: events are
 // breadcrumbs (a hedge fired, a breaker transitioned), not triggers.
 func (r *FlightRecorder) Note(kind, detail string) {
-	if r == nil {
-		return
+	if r != nil {
+		r.note(kind, detail)
 	}
+}
+
+func (r *FlightRecorder) note(kind, detail string) {
 	e := RecorderEvent{TMS: time.Now().UnixMilli(), Kind: kind, Detail: detail}
 	r.mu.Lock()
 	if r.evN < len(r.events) {
@@ -150,7 +153,11 @@ func (r *FlightRecorder) Trigger(trigger, detail string) *Incident {
 	if r == nil {
 		return nil
 	}
-	r.Note(trigger, detail)
+	return r.trigger(trigger, detail)
+}
+
+func (r *FlightRecorder) trigger(trigger, detail string) *Incident {
+	r.note(trigger, detail)
 	now := time.Now()
 	r.mu.Lock()
 	if !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < r.cfg.MinInterval {

@@ -46,9 +46,12 @@ func NewHistory(capacity int) *History {
 // Record reduces snap into one sample at now, evicting the oldest
 // sample when the ring is full. Nil-safe.
 func (h *History) Record(now time.Time, snap RegistrySnapshot) {
-	if h == nil {
-		return
+	if h != nil {
+		h.record(now, snap)
 	}
+}
+
+func (h *History) record(now time.Time, snap RegistrySnapshot) {
 	s := HistorySample{TMS: now.UnixMilli()}
 	if len(snap.Counters) > 0 {
 		s.Counters = make(map[string]uint64, len(snap.Counters))
@@ -107,6 +110,10 @@ func (h *History) Len() int {
 	if h == nil {
 		return 0
 	}
+	return h.size()
+}
+
+func (h *History) size() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.n

@@ -164,9 +164,12 @@ func (s *Span) Ref() SpanRef {
 
 // End finishes the span and records it. Idempotent and nil-safe.
 func (s *Span) End() {
-	if s == nil || s.done {
-		return
+	if s != nil && !s.done {
+		s.end()
 	}
+}
+
+func (s *Span) end() {
 	s.done = true
 	now := time.Now()
 	rec := SpanRecord{
@@ -265,6 +268,10 @@ func (c *Collector) RunSpanChild(name string) *Span {
 	if c == nil {
 		return nil
 	}
+	return c.runSpanChild(name)
+}
+
+func (c *Collector) runSpanChild(name string) *Span {
 	c.obsMu.Lock()
 	rs := c.runSpan
 	c.obsMu.Unlock()

@@ -82,7 +82,22 @@ go test -run xxx -bench BenchmarkMatrixPool -benchtime 1x ./internal/experiments
 echo "== go test (fuzz corpus) =="
 go test -run Fuzz ./...
 
-echo "== disabled-telemetry overhead budget (counters, trace, spans, explain, alloc attribution) =="
+echo "== disabled-telemetry hooks inline (DESIGN.md §10) =="
+# Each nil-safe hook the overhead budget times keeps its nil check in a
+# wrapper small enough to inline; a hook that grows past the inlining
+# budget fails here by name instead of as a timing flake below.
+inl=$(go build -gcflags=-m ./internal/telemetry/ 2>&1)
+for fn in '(\*Counter)\.Inc' '(\*Collector)\.Trace' '(\*Collector)\.RunSpanChild' \
+    '(\*Span)\.End' '(\*Collector)\.ExplainTick' '(\*Collector)\.StartAllocPhase' \
+    'AllocPhase\.End' '(\*FlightRecorder)\.Note' '(\*FlightRecorder)\.Trigger' \
+    '(\*History)\.Record' '(\*History)\.Len'; do
+    if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
+        echo "not inlinable: $fn (split its body out; see DESIGN.md §10)" >&2
+        exit 1
+    fi
+done
+
+echo "== disabled-telemetry overhead budget (counters, trace, spans, explain, alloc attribution, flight recorder, metrics history) =="
 go test -run DisabledHotPath -count 1 ./internal/telemetry/
 
 echo "== profiling round-trip (real allocs profile through pprofparse) =="
