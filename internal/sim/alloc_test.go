@@ -20,7 +20,7 @@ import (
 // queues and the by-value cache eviction path are what make this hold;
 // a regression here shows up as a nonzero allocs/op long before it
 // shows up in wall-clock benchmarks. Each step reads its record's
-// private-hierarchy outcome from the trace's Filter, as a run does.
+// private-hierarchy outcome from the trace's filter, as a run does.
 //
 // The ensemble cases run the real four arms under the tabular and
 // SBP(E) controllers over a repeating pointer-chasing trace, so their
@@ -47,7 +47,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.tr
 			s := New(DefaultConfig())
-			priv := FilterFor(tr, s.cfg)
+			priv := filterFor(tr, s.cfg)
 			for i := 0; i < tc.warm; i++ {
 				s.step(tr.Records[i], priv.Level(i), tc.src)
 			}
@@ -66,7 +66,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 // TestBaselineRunAllocBudget bounds what a whole run allocates: the
 // Simulator, its caches and queues, and the Result around a step loop
 // that allocates nothing. A baseline run over a 20k-access 433.milc trace makes about
-// 12 allocations once the trace's Filter exists; 32 leaves room for
+// 12 allocations once the trace's filter exists; 32 leaves room for
 // drift, while a per-record allocation would cost thousands.
 func TestBaselineRunAllocBudget(t *testing.T) {
 	const budget = 32

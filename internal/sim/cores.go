@@ -30,7 +30,7 @@ func NewCores(cfg Config, traces []*trace.Trace, srcs []Source, offsets []mem.Ad
 	for i, tr := range traces {
 		c := &Core{s: s, state: newCoreState(s.cfg), tr: tr, src: srcs[i],
 			warmupEnd: warmupEndOf(len(tr.Records), s.cfg.WarmupFraction)}
-		c.state.priv = FilterFor(tr, s.cfg)
+		c.state.priv = filterFor(tr, s.cfg)
 		c.state.offset = offsets[i]
 		cores[i] = c
 	}

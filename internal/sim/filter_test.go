@@ -24,7 +24,7 @@ import (
 )
 
 // refSim is the simulator as it was before the private hierarchy moved
-// into the trace's Filter: it owns an L1D and an L2 and runs every
+// into the trace's filter: it owns an L1D and an L2 and runs every
 // record through them inside access. The LLC, DRAM, prefetch and
 // telemetry code below access is the Simulator's own.
 type refSim struct {
@@ -71,7 +71,7 @@ func (r *refSim) result(tr *trace.Trace, src Source) Result {
 	if r.winSize > 0 {
 		r.flushCounters()
 	}
-	r.priv = &Filter{l1d: r.l1d.Stats(), l2: r.l2.Stats()}
+	r.priv = &filter{l1d: r.l1d.Stats(), l2: r.l2.Stats()}
 	return r.Simulator.result(tr, src)
 }
 
@@ -111,7 +111,7 @@ func (r *refSim) step(rec trace.Record, src Source) {
 	}
 }
 
-// access is the full-hierarchy access the Filter replaced: L1D, L2,
+// access is the full-hierarchy access the filter replaced: L1D, L2,
 // then LLC/DRAM, with the L2 and L1D fills after the LLC access.
 func (r *refSim) access(rec trace.Record, now float64, src Source) float64 {
 	s := r.Simulator
@@ -403,7 +403,7 @@ func FuzzSimLoadState(f *testing.F) {
 	f.Add(bad.Bytes())
 	f.Add([]byte("not a snapshot"))
 
-	priv := FilterFor(tr, cfg)
+	priv := filterFor(tr, cfg)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New(cfg)
 		if err := s.LoadState(bytes.NewReader(data)); err != nil {

@@ -56,7 +56,7 @@ type ckpMeta struct {
 // checkpoint boundaries and interrupt polling. The common case (no
 // checkpointing, no interrupt source) takes a branch-free fast loop.
 func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int, set settings) error {
-	s.priv = FilterFor(tr, s.cfg)
+	s.priv = filterFor(tr, s.cfg)
 	levels := s.priv.levels
 	warmupEnd := warmupEndOf(len(tr.Records), s.cfg.WarmupFraction)
 	if set.ckpPath == "" && set.ckpSink == nil && set.interrupt == nil && set.stopAfter <= 0 {

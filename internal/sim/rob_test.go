@@ -48,7 +48,7 @@ func TestRetireTimeOfMatchesBisect(t *testing.T) {
 		line := mem.Line(rng.Intn(1 << 14))
 		recs[i] = trace.Record{ID: id, PC: 0x400000, Addr: mem.LineAddr(line)}
 	}
-	priv := FilterFor(&trace.Trace{Records: recs}, cfg)
+	priv := filterFor(&trace.Trace{Records: recs}, cfg)
 	lookups, found := 0, 0
 	check := func(s *Simulator, lo, hi int) {
 		t.Helper()

@@ -189,7 +189,7 @@ type sharedState struct {
 type coreState struct {
 	// priv is the private-hierarchy outcome of the trace being run
 	// (set by simulate or NewCores; result reads its L1D/L2 statistics).
-	priv *Filter
+	priv *filter
 	// offset is added to every record's address before the LLC line is
 	// taken (a core's relocation on a multi-core machine; 0 otherwise).
 	offset mem.Addr
@@ -241,7 +241,7 @@ type coreState struct {
 // core's state over the shared memory side, both held by value so the
 // per-record path reaches every field in one load. The private L1D/L2
 // are not simulated per run: each record's outcome there comes from
-// the trace's shared Filter.
+// the trace's shared filter.
 type Simulator struct {
 	cfg Config
 	sharedState
@@ -319,7 +319,7 @@ func (s *Simulator) retireClock() float64 {
 
 // step processes one trace record through timing, hierarchy and
 // prefetching; lvl is the record's private-hierarchy outcome.
-func (s *Simulator) step(rec trace.Record, lvl Level, src Source) {
+func (s *Simulator) step(rec trace.Record, lvl level, src Source) {
 	w := float64(s.cfg.IssueWidth)
 
 	// Dispatch: advance by the instruction gap, bounded by ROB space.
@@ -389,11 +389,11 @@ func (s *Simulator) retireTimeOf(id uint64) (float64, bool) {
 // load-to-use latency in cycles. lvl says whether the private L1D/L2
 // serve it; otherwise it goes through LLC/DRAM and drives the prefetch
 // source.
-func (s *Simulator) access(rec trace.Record, lvl Level, now float64, src Source) float64 {
+func (s *Simulator) access(rec trace.Record, lvl level, now float64, src Source) float64 {
 	switch lvl {
-	case L1DHit:
+	case l1dHit:
 		return float64(s.cfg.L1D.Latency)
-	case L2Hit:
+	case l2Hit:
 		return float64(s.cfg.L2.Latency)
 	}
 

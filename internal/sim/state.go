@@ -20,7 +20,7 @@ import (
 // the event stream exactly where the interrupted one stopped. The
 // private L1D/L2 are not part of it: their contents are a function of
 // the trace prefix, and a resumed run reads them from the trace's
-// Filter.
+// filter.
 
 // simState is the gob mirror of Simulator's mutable state. pendingSet
 // is saved independently of pending: a late prefetch hit removes a
