@@ -15,6 +15,7 @@ import (
 	"resemble/internal/experiments"
 	"resemble/internal/prefetch"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func BenchmarkAblationRewardWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.Window = w }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.Window = w }, sources.TableII())
 			}
 			reportAblation(b, "window", gain, acc)
 		})
@@ -65,7 +66,7 @@ func BenchmarkAblationReplaySize(b *testing.B) {
 		b.Run(fmt.Sprintf("R%d", n), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.ReplayN = n }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.ReplayN = n }, sources.TableII())
 			}
 			reportAblation(b, "replay", gain, acc)
 		})
@@ -78,7 +79,7 @@ func BenchmarkAblationHiddenWidth(b *testing.B) {
 		b.Run(fmt.Sprintf("H%d", h), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.Hidden = h }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.Hidden = h }, sources.TableII())
 			}
 			reportAblation(b, "hidden", gain, acc)
 		})
@@ -91,7 +92,7 @@ func BenchmarkAblationHashBits(b *testing.B) {
 		b.Run(fmt.Sprintf("B%d", bits), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.HashBits = bits }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.HashBits = bits }, sources.TableII())
 			}
 			reportAblation(b, "hash", gain, acc)
 		})
@@ -104,7 +105,7 @@ func BenchmarkAblationEpsilonDecay(b *testing.B) {
 		b.Run(fmt.Sprintf("decay%.0f", d), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.EpsDecay = d }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.EpsDecay = d }, sources.TableII())
 			}
 			reportAblation(b, "eps", gain, acc)
 		})
@@ -115,7 +116,7 @@ func BenchmarkAblationEnsembleWidth(b *testing.B) {
 	b.Run("four", func(b *testing.B) {
 		var gain, acc float64
 		for i := 0; i < b.N; i++ {
-			gain, acc = ablationRun(b, nil, experiments.FourPrefetchers())
+			gain, acc = ablationRun(b, nil, sources.TableII())
 		}
 		reportAblation(b, "4pf", gain, acc)
 	})
@@ -140,7 +141,7 @@ func BenchmarkAblationFixedPointInference(b *testing.B) {
 		b.Run(fmt.Sprintf("frac%d", frac), func(b *testing.B) {
 			var agree float64
 			for i := 0; i < b.N; i++ {
-				ctrl := core.NewController(cfg, experiments.FourPrefetchers())
+				ctrl := core.NewController(cfg, sources.TableII())
 				if _, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, ctrl); err != nil {
 					b.Fatal(err)
 				}
@@ -159,7 +160,7 @@ func BenchmarkAblationTargetInterval(b *testing.B) {
 		b.Run(fmt.Sprintf("It%d", it), func(b *testing.B) {
 			var gain, acc float64
 			for i := 0; i < b.N; i++ {
-				gain, acc = ablationRun(b, func(c *core.Config) { c.TargetInterval = it }, experiments.FourPrefetchers())
+				gain, acc = ablationRun(b, func(c *core.Config) { c.TargetInterval = it }, sources.TableII())
 			}
 			reportAblation(b, "target", gain, acc)
 		})

@@ -24,6 +24,7 @@ import (
 	"resemble/internal/prefetch/spp"
 	"resemble/internal/prefetch/voyager"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
 )
@@ -258,7 +259,7 @@ func BenchmarkMLPTrainStep(b *testing.B) {
 func BenchmarkControllerOnAccess(b *testing.B) {
 	cfg := core.DefaultConfig()
 	cfg.Batch = 32
-	ctrl := core.NewController(cfg, experiments.FourPrefetchers())
+	ctrl := core.NewController(cfg, sources.TableII())
 	tr := benchTrace(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -268,7 +269,7 @@ func BenchmarkControllerOnAccess(b *testing.B) {
 }
 
 func BenchmarkTabularOnAccess(b *testing.B) {
-	ctrl := core.NewTabularController(core.DefaultConfig(), experiments.FourPrefetchers())
+	ctrl := core.NewTabularController(core.DefaultConfig(), sources.TableII())
 	tr := benchTrace(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,56 +57,11 @@ import (
 	"syscall"
 
 	"resemble/internal/core"
-	"resemble/internal/ensemble/sbp"
-	"resemble/internal/experiments"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/isb"
-	"resemble/internal/prefetch/spp"
-	"resemble/internal/prefetch/stride"
-	"resemble/internal/prefetch/voyager"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
 )
-
-var controllerNames = []string{
-	"resemble", "resemble-t", "sbp-e",
-	"bo", "spp", "isb", "domino", "stride", "voyager", "none",
-}
-
-func buildSource(name string, batch int, seed int64, fixedFrac uint) (sim.Source, error) {
-	cfg := core.DefaultConfig()
-	cfg.Batch = batch
-	cfg.Seed = 1 + seed
-	cfg.FixedFrac = fixedFrac
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	switch name {
-	case "resemble":
-		return core.NewController(cfg, experiments.FourPrefetchers()), nil
-	case "resemble-t":
-		return core.NewTabularController(cfg, experiments.FourPrefetchers()), nil
-	case "sbp-e":
-		return sbp.New(sbp.Config{}, experiments.FourPrefetchers()), nil
-	case "bo":
-		return sim.FromPrefetcher(bo.New(bo.Config{}), 2), nil
-	case "spp":
-		return sim.FromPrefetcher(spp.New(spp.Config{}), 2), nil
-	case "isb":
-		return sim.FromPrefetcher(isb.New(isb.Config{}), 2), nil
-	case "domino":
-		return sim.FromPrefetcher(domino.New(domino.Config{}), 2), nil
-	case "stride":
-		return sim.FromPrefetcher(stride.New(stride.Config{}), 2), nil
-	case "voyager":
-		return sim.FromPrefetcher(voyager.New(voyager.Config{}), 2), nil
-	case "none":
-		return nil, nil
-	}
-	return nil, fmt.Errorf("unknown controller %q (choose from %s)", name, strings.Join(controllerNames, ", "))
-}
 
 func loadTrace(workload, path string, n int, seed int64) (*trace.Trace, error) {
 	if path != "" {
@@ -138,7 +93,7 @@ func run() (err error) {
 	var (
 		workload    = flag.String("workload", "hybrid.phases", "registered workload name")
 		tracePath   = flag.String("trace", "", "binary trace file (overrides -workload)")
-		ctrl        = flag.String("controller", "resemble", strings.Join(controllerNames, "|"))
+		ctrl        = flag.String("controller", "resemble", strings.Join(sources.Names(), "|"))
 		n           = flag.Int("n", 60000, "accesses to generate")
 		batch       = flag.Int("batch", 64, "controller training batch")
 		seed        = flag.Int64("seed", 0, "seed offset")
@@ -178,7 +133,14 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	src, err := buildSource(*ctrl, *batch, *seed, *fixedFrac)
+	ctrlCfg := core.DefaultConfig()
+	ctrlCfg.Batch = *batch
+	ctrlCfg.Seed = 1 + *seed
+	ctrlCfg.FixedFrac = *fixedFrac
+	if err := ctrlCfg.Validate(); err != nil {
+		return err
+	}
+	src, err := sources.Build(*ctrl, sources.Env{Config: ctrlCfg})
 	if err != nil {
 		return err
 	}
@@ -218,11 +180,7 @@ func run() (err error) {
 		m.Seed, m.Accesses = *seed, *n
 		m.SetConfig("sim", simCfg)
 		if *ctrl == "resemble" || *ctrl == "resemble-t" {
-			cfg := core.DefaultConfig()
-			cfg.Batch = *batch
-			cfg.Seed = 1 + *seed
-			cfg.FixedFrac = *fixedFrac
-			m.SetConfig("controller", cfg)
+			m.SetConfig("controller", ctrlCfg)
 		}
 	}
 

@@ -13,29 +13,17 @@ import (
 	"fmt"
 
 	"resemble/internal/core"
-	"resemble/internal/ensemble/sbp"
-	"resemble/internal/prefetch"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/isb"
-	"resemble/internal/prefetch/spp"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
-
-func inputs() []prefetch.Prefetcher {
-	return []prefetch.Prefetcher{
-		bo.New(bo.Config{}), spp.New(spp.Config{}),
-		isb.New(isb.Config{}), domino.New(domino.Config{}),
-	}
-}
 
 func main() {
 	tr := trace.MustLookup("hybrid.interleave").Generate(60000) // record-level stream interleaving
 	runner := sim.NewRunner(sim.DefaultConfig())
 	base, _ := runner.With(sim.WithBaseline()).Run(tr, nil)
 
-	ctrl := core.NewController(core.DefaultConfig(), inputs())
+	ctrl := core.NewController(core.DefaultConfig(), sources.TableII())
 	res, _ := runner.Run(tr, ctrl)
 
 	// Dominant action per window: watch the controller switch
@@ -65,12 +53,10 @@ func main() {
 		fmt.Printf("  %-10s IPC %.3f (%+.1f%%)  acc %.1f%%  cov %.1f%%\n",
 			name, r.IPC, 100*r.IPCImprovement(base), 100*r.Accuracy, 100*r.Coverage)
 	}
-	run := func(src sim.Source) sim.Result {
-		r, _ := runner.Run(tr, src)
-		return r
-	}
 	report("resemble", res)
-	report("sbp-e", run(sbp.New(sbp.Config{}, inputs())))
-	report("bo", run(sim.FromPrefetcher(bo.New(bo.Config{}), 2)))
-	report("isb", run(sim.FromPrefetcher(isb.New(isb.Config{}), 2)))
+	for _, name := range []string{"sbp-e", "bo", "isb"} {
+		src, _ := sources.Build(name, sources.Env{})
+		r, _ := runner.Run(tr, src)
+		report(name, r)
+	}
 }

@@ -14,20 +14,9 @@ import (
 
 	"resemble/internal/core"
 	"resemble/internal/multicore"
-	"resemble/internal/prefetch"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/isb"
-	"resemble/internal/prefetch/spp"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
-
-func controller() *core.Controller {
-	return core.NewController(core.DefaultConfig(), []prefetch.Prefetcher{
-		bo.New(bo.Config{}), spp.New(spp.Config{}),
-		isb.New(isb.Config{}), domino.New(domino.Config{}),
-	})
-}
 
 func main() {
 	mix := []string{"433.lbm", "471.omnetpp", "602.gcc", "gap.bfs"}
@@ -38,7 +27,7 @@ func main() {
 		for i, name := range mix {
 			cores[i] = multicore.Core{Trace: trace.MustLookup(name).Generate(accesses)}
 			if withController {
-				cores[i].Source = controller()
+				cores[i].Source = core.NewController(core.DefaultConfig(), sources.TableII())
 			}
 		}
 		return cores

@@ -6,6 +6,7 @@ import (
 	"resemble/internal/core"
 	"resemble/internal/prefetch"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -56,7 +57,7 @@ func Ablations(o Options) ([]AblationRow, error) {
 		specs = append(specs, spec{"targetIt", strconv.Itoa(it), func(c *core.Config) { c.TargetInterval = it }, nil})
 	}
 	specs = append(specs,
-		spec{"width", "4pf", nil, FourPrefetchers},
+		spec{"width", "4pf", nil, sources.TableII},
 		spec{"width", "5pf", nil, FivePrefetchers})
 
 	w := trace.MustLookup("602.gcc")
@@ -77,7 +78,7 @@ func Ablations(o Options) ([]AblationRow, error) {
 		}
 		build := s.pfs
 		if build == nil {
-			build = FourPrefetchers
+			build = sources.TableII
 		}
 		results[i] = o.run(simCfg, tr, core.NewController(cfg, build()))
 	})

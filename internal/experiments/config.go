@@ -3,6 +3,7 @@ package experiments
 import (
 	"resemble/internal/core"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -13,7 +14,7 @@ func PrintConfig(o Options) {
 	o = o.withDefaults()
 
 	o.printf("== Table II: input prefetchers ==\n")
-	for _, p := range FourPrefetchers() {
+	for _, p := range sources.TableII() {
 		kind := "temporal"
 		if p.Spatial() {
 			kind = "spatial"
@@ -26,8 +27,8 @@ func PrintConfig(o Options) {
 	o.printf("  address bits            %d\n", 64)
 	o.printf("  block offset            %d\n", 6)
 	o.printf("  page offset             %d\n", 12)
-	o.printf("  state dimension S       %d\n", len(FourPrefetchers()))
-	o.printf("  action dimension A      %d\n", len(FourPrefetchers())+1)
+	o.printf("  state dimension S       %d\n", len(sources.Arms()))
+	o.printf("  action dimension A      %d\n", len(sources.Arms())+1)
 	o.printf("  hash bits (MLP)         %d\n", cc.HashBits)
 	o.printf("  replay memory R         %d\n", cc.ReplayN)
 	o.printf("  prefetch window W       %d\n", cc.Window)

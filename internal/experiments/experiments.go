@@ -12,15 +12,9 @@ import (
 	"time"
 
 	"resemble/internal/core"
-	"resemble/internal/ensemble/sbp"
 	"resemble/internal/prefetch"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/isb"
-	"resemble/internal/prefetch/spp"
-	"resemble/internal/prefetch/stride"
-	"resemble/internal/prefetch/voyager"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
 )
@@ -133,14 +127,13 @@ func (o Options) traceFor(w trace.Workload) *trace.Trace {
 	return c.Get(w, o.Accesses, w.Seed+o.Seed)
 }
 
-// wrap applies the sim.WithFaults hook to one prefetcher.
-func (o Options) wrap(p prefetch.Prefetcher) prefetch.Prefetcher {
-	return o.simRunner().Wrap(p)
-}
-
-// wrapAll applies the sim.WithFaults hook to a prefetcher set.
-func (o Options) wrapAll(pfs []prefetch.Prefetcher) []prefetch.Prefetcher {
-	return o.simRunner().WrapAll(pfs)
+// arm builds the named prefetcher through the sim.WithFaults hook.
+func (o Options) arm(name string) (prefetch.Prefetcher, error) {
+	p, err := sources.New(name)
+	if err != nil {
+		return nil, err
+	}
+	return o.simRunner().Wrap(p), nil
 }
 
 // controllerConfig returns the framework configuration for experiments.
@@ -152,68 +145,42 @@ func (o Options) controllerConfig() core.Config {
 	return cfg
 }
 
-// FourPrefetchers builds the paper's Table II input set: BO, SPP, ISB
-// and Domino at their default configurations.
-func FourPrefetchers() []prefetch.Prefetcher {
-	return []prefetch.Prefetcher{
-		bo.New(bo.Config{}),
-		spp.New(spp.Config{}),
-		isb.New(isb.Config{}),
-		domino.New(domino.Config{}),
-	}
-}
-
 // VoyagerPrefetchers builds the Section VI-B input set: Domino replaced
 // by the LSTM-based Voyager stand-in.
 func VoyagerPrefetchers() []prefetch.Prefetcher {
-	return []prefetch.Prefetcher{
-		bo.New(bo.Config{}),
-		spp.New(spp.Config{}),
-		isb.New(isb.Config{}),
-		voyager.New(voyager.Config{}),
-	}
+	return sources.Set("bo", "spp", "isb", "voyager")
 }
 
 // FivePrefetchers adds a classic stride prefetcher as a fifth input
 // (used by the variable-width ablation).
 func FivePrefetchers() []prefetch.Prefetcher {
-	return append(FourPrefetchers(), stride.New(stride.Config{}))
+	return sources.Set(append(sources.Arms(), "stride")...)
 }
 
 // SourceSet names the prefetch sources compared in Figures 8–10.
 type SourceSet struct {
 	Names []string
-	Build func(name string, o Options) sim.Source
 }
 
 // EvaluationSources returns the Fig 8–10 comparison set: the four
 // individual prefetchers, SBP(E), ReSemble, and ReSemble-T (8-bit).
 func EvaluationSources() SourceSet {
-	return SourceSet{
-		Names: []string{"bo", "spp", "isb", "domino", "sbp-e", "resemble", "resemble-t"},
-		Build: func(name string, o Options) sim.Source {
-			switch name {
-			case "bo":
-				return sim.FromPrefetcher(o.wrap(bo.New(bo.Config{})), 2)
-			case "spp":
-				return sim.FromPrefetcher(o.wrap(spp.New(spp.Config{})), 2)
-			case "isb":
-				return sim.FromPrefetcher(o.wrap(isb.New(isb.Config{})), 2)
-			case "domino":
-				return sim.FromPrefetcher(o.wrap(domino.New(domino.Config{})), 2)
-			case "sbp-e":
-				return sbp.New(sbp.Config{}, o.wrapAll(FourPrefetchers()))
-			case "resemble":
-				return core.NewController(o.controllerConfig(), o.wrapAll(FourPrefetchers()))
-			case "resemble-t":
-				cfg := o.controllerConfig()
-				cfg.TableHashBits = 8
-				return core.NewTabularController(cfg, o.wrapAll(FourPrefetchers()))
-			default:
-				panic(fmt.Sprintf("experiments: unknown source %q", name))
-			}
-		},
+	return SourceSet{Names: append(sources.Arms(), "sbp-e", "resemble", "resemble-t")}
+}
+
+// Build builds the named source with the experiment's controller
+// configuration, every arm routed through its fault plan.
+func (SourceSet) Build(name string, o Options) sim.Source {
+	return mustBuild(name, sources.Env{Config: o.controllerConfig(), Arm: o.arm})
+}
+
+// mustBuild builds a source an experiment names in code.
+func mustBuild(name string, env sources.Env) sim.Source {
+	src, err := sources.Build(name, env)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
+	return src
 }
 
 // WorkloadRun holds one (workload, source) simulation outcome together

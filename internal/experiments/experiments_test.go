@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"resemble/internal/sources"
 )
 
 // tinyOpts keeps experiment smoke tests fast.
@@ -188,8 +190,8 @@ func TestSourceSetBuildsAll(t *testing.T) {
 }
 
 func TestPrefetcherSets(t *testing.T) {
-	if n := len(FourPrefetchers()); n != 4 {
-		t.Errorf("FourPrefetchers = %d", n)
+	if n := len(sources.TableII()); n != 4 {
+		t.Errorf("TableII = %d", n)
 	}
 	if n := len(VoyagerPrefetchers()); n != 4 {
 		t.Errorf("VoyagerPrefetchers = %d", n)

@@ -6,15 +6,10 @@ import (
 	"resemble/internal/prefetch"
 	"resemble/internal/prefetch/bo"
 	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/ghb"
 	"resemble/internal/prefetch/isb"
 	"resemble/internal/prefetch/spp"
-	"resemble/internal/prefetch/stems"
-	"resemble/internal/prefetch/stms"
-	"resemble/internal/prefetch/stride"
-	"resemble/internal/prefetch/vldp"
-	"resemble/internal/prefetch/voyager"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -105,22 +100,12 @@ func Taxonomy(o Options) ([]TaxonomyRow, error) {
 	o = o.withDefaults()
 	o.printf("== Extended taxonomy: all implemented prefetchers ==\n")
 	o.printf("%-9s %-9s %8s %8s %8s\n", "pf", "class", "acc", "cov", "dIPC")
-	type entry struct {
-		name  string
-		class string
-		build func() sim.Source
-	}
-	entries := []entry{
-		{"bo", "spatial", func() sim.Source { return sim.FromPrefetcher(bo.New(bo.Config{}), 4) }},
-		{"spp", "spatial", func() sim.Source { return sim.FromPrefetcher(spp.New(spp.Config{}), 4) }},
-		{"vldp", "spatial", func() sim.Source { return sim.FromPrefetcher(vldp.New(vldp.Config{}), 4) }},
-		{"stride", "spatial", func() sim.Source { return sim.FromPrefetcher(stride.New(stride.Config{}), 4) }},
-		{"ghb", "spatial", func() sim.Source { return sim.FromPrefetcher(ghb.New(ghb.Config{}), 4) }},
-		{"isb", "temporal", func() sim.Source { return sim.FromPrefetcher(isb.New(isb.Config{}), 4) }},
-		{"domino", "temporal", func() sim.Source { return sim.FromPrefetcher(domino.New(domino.Config{}), 4) }},
-		{"stms", "temporal", func() sim.Source { return sim.FromPrefetcher(stms.New(stms.Config{}), 4) }},
-		{"stems", "spa-temp", func() sim.Source { return sim.FromPrefetcher(stems.New(stems.Config{}), 4) }},
-		{"voyager", "neural", func() sim.Source { return sim.FromPrefetcher(voyager.New(voyager.Config{}), 4) }},
+	// Every implemented prefetcher runs at degree 4, deeper than the
+	// evaluation's solo degree.
+	entries := []struct{ name, class string }{
+		{"bo", "spatial"}, {"spp", "spatial"}, {"vldp", "spatial"}, {"stride", "spatial"}, {"ghb", "spatial"},
+		{"isb", "temporal"}, {"domino", "temporal"}, {"stms", "temporal"},
+		{"stems", "spa-temp"}, {"voyager", "neural"},
 	}
 	// A representative cross-section keeps the LSTM runtime in check.
 	workloads := []string{"433.lbm", "433.milc", "471.omnetpp", "429.mcf", "602.gcc"}
@@ -132,7 +117,7 @@ func Taxonomy(o Options) ([]TaxonomyRow, error) {
 		w := trace.MustLookup(workloads[(i%per)/2])
 		var src sim.Source
 		if i%2 == 1 {
-			src = e.build()
+			src = mustBuild(e.name, sources.Env{Degree: 4})
 		}
 		results[i] = o.run(simCfg, o.traceFor(w), src)
 	})

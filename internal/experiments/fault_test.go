@@ -10,6 +10,7 @@ import (
 	"resemble/internal/faults"
 	"resemble/internal/prefetch"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func degradationRun(t *testing.T, mode faults.Mode, masked bool) (sim.Result, in
 	if masked {
 		cfg = faultMaskConfig(cfg)
 	}
-	pfs := FourPrefetchers()
+	pfs := sources.TableII()
 	pfs[0] = faults.Wrap(pfs[0], faults.Config{Mode: mode, Seed: 97})
 	ctrl := core.NewTabularController(cfg, pfs)
 	res, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, ctrl)
@@ -101,7 +102,7 @@ func TestMaskingDQNNeverWorse(t *testing.T) {
 		if masked {
 			cfg = faultMaskConfig(cfg)
 		}
-		pfs := FourPrefetchers()
+		pfs := sources.TableII()
 		pfs[0] = faults.Wrap(pfs[0], faults.Config{Mode: faults.Noisy, Seed: 97})
 		res, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, core.NewController(cfg, pfs))
 		if err != nil {
@@ -126,7 +127,7 @@ func TestMaskingDisabledIsIdentical(t *testing.T) {
 	}
 	tr := w.GenerateSeeded(12000, w.Seed)
 	run := func(cfg core.Config) sim.Result {
-		res, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, core.NewController(cfg, FourPrefetchers()))
+		res, err := sim.NewRunner(sim.DefaultConfig()).Run(tr, core.NewController(cfg, sources.TableII()))
 		if err != nil {
 			t.Fatal(err)
 		}

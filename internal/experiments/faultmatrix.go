@@ -5,6 +5,7 @@ import (
 	"resemble/internal/faults"
 	"resemble/internal/prefetch"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -62,25 +63,24 @@ func FaultMatrix(o Options) (*FaultMatrixResult, error) {
 		return nil, err
 	}
 	simCfg := sim.DefaultConfig()
-	ensembleConfig := func() core.Config {
-		cfg := o.controllerConfig()
-		cfg.TableHashBits = 8
-		return cfg
-	}
+	// The healthy ensemble and the solos are the reference points, so
+	// the experiment's fault options must not wrap them.
+	healthy := Options{Batch: o.Batch, Seed: o.Seed, FixedFrac: o.FixedFrac}
 
 	// The faulted input: BO, the dominant spatial arm on this workload —
 	// breaking the arm the ensemble leans on is the worst case for an
 	// unmasked controller.
-	res := &FaultMatrixResult{Workload: workload, Target: FourPrefetchers()[0].Name()}
+	res := &FaultMatrixResult{Workload: workload, Target: sources.Arms()[0]}
 	breakBO := func(mode faults.Mode) []prefetch.Prefetcher {
-		pfs := FourPrefetchers()
+		pfs := sources.TableII()
 		pfs[0] = faults.Wrap(pfs[0], faults.Config{Mode: mode, Seed: 97 + o.Seed})
 		return pfs
 	}
 
 	// Task layout in serial execution order: baseline, healthy ensemble,
 	// the four solos, then (masked, unmasked, solo-faulted) per mode.
-	solos := []string{"bo", "spp", "isb", "domino"}
+	solos := sources.Arms()
+	set := EvaluationSources()
 	modes := []faults.Mode{faults.Stuck, faults.Silent, faults.Noisy}
 	modeBase := 2 + len(solos)
 	results := make([]sim.Result, modeBase+3*len(modes))
@@ -91,25 +91,21 @@ func FaultMatrix(o Options) (*FaultMatrixResult, error) {
 		case i == 0:
 			results[i] = o.run(simCfg, tr, nil)
 		case i == 1:
-			results[i] = o.run(simCfg, tr, core.NewTabularController(ensembleConfig(), FourPrefetchers()))
+			results[i] = o.run(simCfg, tr, set.Build("resemble-t", healthy))
 		case i < modeBase:
-			// Solos run un-faulted on purpose: they are the healthy
-			// reference points, so the experiment's fault options must
-			// not wrap them.
-			src := EvaluationSources().Build(solos[i-2], Options{Accesses: o.Accesses, Batch: o.Batch, Seed: o.Seed})
-			results[i] = o.run(simCfg, tr, src)
+			results[i] = o.run(simCfg, tr, set.Build(solos[i-2], healthy))
 		default:
 			mode := modes[(i-modeBase)/3]
 			switch (i - modeBase) % 3 {
 			case 0:
-				masked := core.NewTabularController(faultMaskConfig(ensembleConfig()), breakBO(mode))
+				masked := core.NewTabularController(faultMaskConfig(o.controllerConfig()), breakBO(mode))
 				maskedCtrls[(i-modeBase)/3] = masked
 				results[i] = o.run(simCfg, tr, masked)
 			case 1:
-				results[i] = o.run(simCfg, tr, core.NewTabularController(ensembleConfig(), breakBO(mode)))
+				results[i] = o.run(simCfg, tr, core.NewTabularController(o.controllerConfig(), breakBO(mode)))
 			case 2:
 				results[i] = o.run(simCfg, tr, sim.FromPrefetcher(
-					faults.Wrap(FourPrefetchers()[0], faults.Config{Mode: mode, Seed: 97 + o.Seed}), 2))
+					faults.Wrap(sources.Set(res.Target)[0], faults.Config{Mode: mode, Seed: 97 + o.Seed}), sources.SoloDegree))
 			}
 		}
 	})
@@ -134,9 +130,9 @@ func FaultMatrix(o Options) (*FaultMatrixResult, error) {
 		}
 		if masked := maskedCtrls[mi]; masked != nil {
 			row.MaskedArms = masked.MaskedArms()
-			for i := range FourPrefetchers() {
+			for i, name := range sources.Arms() {
 				if masked.ArmMasked(i) {
-					row.MaskedNames = append(row.MaskedNames, FourPrefetchers()[i].Name())
+					row.MaskedNames = append(row.MaskedNames, name)
 				}
 			}
 		}

@@ -4,9 +4,8 @@ import (
 	"math"
 
 	"resemble/internal/metrics"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/isb"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -144,11 +143,8 @@ func Fig1c(o Options) ([]Fig1cRow, error) {
 	err := o.forEach(len(results), func(i int, o Options) {
 		tr := o.traceFor(workloads[i/per])
 		var src sim.Source
-		switch i % per {
-		case 1:
-			src = sim.FromPrefetcher(bo.New(bo.Config{}), 2)
-		case 2:
-			src = sim.FromPrefetcher(isb.New(isb.Config{}), 2)
+		if k := i % per; k > 0 {
+			src = mustBuild(pfs[k-1], sources.Env{})
 		}
 		results[i] = o.run(simCfg, tr, src)
 	})

@@ -3,8 +3,8 @@ package experiments
 import (
 	"resemble/internal/core"
 	"resemble/internal/metrics"
-	"resemble/internal/prefetch/voyager"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -56,11 +56,11 @@ func Fig12(o Options) (Fig12Result, error) {
 		var src sim.Source
 		switch i % per {
 		case 1:
-			src = sim.FromPrefetcher(voyager.New(voyager.Config{}), 2)
+			src = mustBuild("voyager", sources.Env{})
 		case 2:
 			src = core.NewController(o.controllerConfig(), VoyagerPrefetchers())
 		case 3:
-			src = core.NewController(o.controllerConfig(), FourPrefetchers())
+			src = mustBuild("resemble", sources.Env{Config: o.controllerConfig()})
 		}
 		results[i] = o.run(simCfg, tr, src)
 	})

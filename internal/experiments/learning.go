@@ -4,6 +4,7 @@ import (
 	"resemble/internal/core"
 	"resemble/internal/metrics"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -46,9 +47,9 @@ func buildVariant(o Options, v ModelVariant) seriesController {
 	cfg.UsePC = v.UsePC
 	if v.Tab {
 		cfg.TableHashBits = v.Bits
-		return core.NewTabularController(cfg, FourPrefetchers())
+		return core.NewTabularController(cfg, sources.TableII())
 	}
-	return core.NewController(cfg, FourPrefetchers())
+	return core.NewController(cfg, sources.TableII())
 }
 
 // runVariant simulates a controller variant on one workload and returns

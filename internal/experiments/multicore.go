@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"resemble/internal/core"
-	"resemble/internal/ensemble/sbp"
 	"resemble/internal/multicore"
-	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -34,12 +32,13 @@ func Multicore(o Options) (MulticoreResult, error) {
 	res := MulticoreResult{Mix: mix}
 	mcfg := multicore.DefaultConfig()
 
-	build := func(o Options, mk func() sim.Source) []multicore.Core {
+	// Every core runs its own copy of the configuration's source.
+	build := func(o Options, source string) []multicore.Core {
 		cores := make([]multicore.Core, len(mix))
 		for i, name := range mix {
-			cores[i] = multicore.Core{Trace: o.traceFor(trace.MustLookup(name))}
-			if mk != nil {
-				cores[i].Source = mk()
+			cores[i] = multicore.Core{
+				Trace:  o.traceFor(trace.MustLookup(name)),
+				Source: mustBuild(source, sources.Env{Config: o.controllerConfig()}),
 			}
 		}
 		return cores
@@ -48,19 +47,11 @@ func Multicore(o Options) (MulticoreResult, error) {
 	// The three system configurations are independent simulations; run
 	// them through the pool (cores within one configuration share an LLC
 	// and stay sequential inside multicore.Run).
-	makers := []func(o Options) func() sim.Source{
-		func(Options) func() sim.Source { return nil },
-		func(Options) func() sim.Source {
-			return func() sim.Source { return sbp.New(sbp.Config{}, FourPrefetchers()) }
-		},
-		func(o Options) func() sim.Source {
-			return func() sim.Source { return core.NewController(o.controllerConfig(), FourPrefetchers()) }
-		},
-	}
-	outs := make([]multicore.Result, len(makers))
-	errs := make([]error, len(makers))
-	if err := o.forEach(len(makers), func(i int, o Options) {
-		outs[i], errs[i] = multicore.Run(mcfg, build(o, makers[i](o)))
+	configs := []string{sources.None, "sbp-e", "resemble"}
+	outs := make([]multicore.Result, len(configs))
+	errs := make([]error, len(configs))
+	if err := o.forEach(len(configs), func(i int, o Options) {
+		outs[i], errs[i] = multicore.Run(mcfg, build(o, configs[i]))
 	}); err != nil {
 		return res, err
 	}

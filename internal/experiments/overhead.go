@@ -4,6 +4,7 @@ import (
 	"resemble/internal/core"
 	"resemble/internal/metrics"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func Table4(o Options) (Table4Result, error) {
 		bits, w := allBits[i/len(workloads)], workloads[i%len(workloads)]
 		cfg := o.controllerConfig()
 		cfg.TableHashBits = bits
-		ctrl := core.NewTabularController(cfg, FourPrefetchers())
+		ctrl := core.NewTabularController(cfg, sources.TableII())
 		o.Accesses /= 4 // short runs suffice for state counting
 		tr := o.traceFor(w)
 		o.run(sim.DefaultConfig(), tr, ctrl)
@@ -135,7 +136,7 @@ func Fig11(o Options) ([]Fig11Point, error) {
 		simCfg.LowThroughput = !highTP
 		var src sim.Source
 		if i%2 == 1 {
-			src = core.NewController(o.controllerConfig(), FourPrefetchers())
+			src = mustBuild("resemble", sources.Env{Config: o.controllerConfig()})
 		}
 		results[i] = o.run(simCfg, o.traceFor(w), src)
 	})

@@ -44,12 +44,9 @@ import (
 	"resemble/internal/checkpoint"
 	"resemble/internal/core"
 	"resemble/internal/prefetch"
-	"resemble/internal/prefetch/bo"
-	"resemble/internal/prefetch/domino"
-	"resemble/internal/prefetch/isb"
-	"resemble/internal/prefetch/spp"
 	"resemble/internal/resilience"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
 )
@@ -118,10 +115,6 @@ type Config struct {
 	SimConfig *sim.Config
 	// Breaker parameterizes the per-arm circuit breakers.
 	Breaker resilience.BreakerConfig
-	// DisableMasking turns off the controllers' accuracy masking (and
-	// with it the breaker feedback signal). Masking is on by default:
-	// it is the degradation signal the breakers key off.
-	DisableMasking bool
 	// ControllerConfig, when non-nil, overrides the ensemble controller
 	// configuration derived for a request (the default is the batch
 	// experiment configuration plus the robustness fault-matrix masking
@@ -201,22 +194,7 @@ func (c Config) withDefaults() Config {
 
 // ArmNames lists the ensemble input prefetchers the service builds,
 // in controller arm order — the breaker set is keyed by these names.
-func ArmNames() []string { return []string{"bo", "spp", "isb", "domino"} }
-
-// newArm constructs one input prefetcher by name.
-func newArm(name string) (prefetch.Prefetcher, error) {
-	switch name {
-	case "bo":
-		return bo.New(bo.Config{}), nil
-	case "spp":
-		return spp.New(spp.Config{}), nil
-	case "isb":
-		return isb.New(isb.Config{}), nil
-	case "domino":
-		return domino.New(domino.Config{}), nil
-	}
-	return nil, fmt.Errorf("service: unknown arm %q", name)
-}
+func ArmNames() []string { return sources.Arms() }
 
 // armSet is one worker's ensemble arms, keyed by arm name. The worker
 // builds an arm on first use and resets it in place for every later
@@ -232,7 +210,7 @@ func (a armSet) arm(name string) (prefetch.Prefetcher, error) {
 		p.Reset()
 		return p, nil
 	}
-	p, err := newArm(name)
+	p, err := sources.New(name)
 	if err == nil && a != nil {
 		a[name] = p
 	}

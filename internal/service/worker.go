@@ -11,10 +11,10 @@ import (
 
 	"resemble/internal/cas"
 	"resemble/internal/core"
-	"resemble/internal/ensemble/sbp"
 	"resemble/internal/prefetch"
 	"resemble/internal/resilience"
 	"resemble/internal/sim"
+	"resemble/internal/sources"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
 )
@@ -497,57 +497,50 @@ func (s *Service) buildSource(req Request) (src sim.Source, probe maskProbe, arm
 // names so the end-of-run masking report reaches the right breaker;
 // probe is nil for sources without a masking signal.
 func (s *Service) buildSourceFrom(req Request, arms armSet) (src sim.Source, probe maskProbe, armIdx []string, excluded []string, err error) {
-	// Solo arms and the baseline first.
-	switch req.Controller {
-	case "none":
-		return nil, nil, nil, nil, nil
-	case "bo", "spp", "isb", "domino":
-		if !s.breakers[req.Controller].Allow() {
-			return nil, nil, nil, nil,
-				errUnavailable{fmt.Sprintf("arm %q circuit breaker is open", req.Controller)}
-		}
-		p, aerr := arms.arm(req.Controller)
-		if aerr != nil {
-			return nil, nil, nil, nil, aerr
-		}
-		return sim.FromPrefetcher(s.cfg.Chaos.wrapArm(req.Controller, p), 2),
-			nil, []string{req.Controller}, nil, nil
+	src, err = sources.Build(req.Controller, sources.Env{
+		Config: s.controllerConfig(req),
+		// A solo arm runs only while its breaker admits it.
+		Arm: func(name string) (prefetch.Prefetcher, error) {
+			b := s.breakers[name]
+			if b == nil {
+				return nil, fmt.Errorf("unknown controller %q (want one of %v)", name, Controllers())
+			}
+			if !b.Allow() {
+				return nil, errUnavailable{fmt.Sprintf("arm %q circuit breaker is open", name)}
+			}
+			p, err := arms.arm(name)
+			if err != nil {
+				return nil, err
+			}
+			armIdx = []string{name}
+			return s.cfg.Chaos.wrapArm(name, p), nil
+		},
+		// An ensemble takes every arm whose breaker admits it.
+		Inputs: func() ([]prefetch.Prefetcher, error) {
+			var inputs []prefetch.Prefetcher
+			for _, name := range ArmNames() {
+				if !s.breakers[name].Allow() {
+					excluded = append(excluded, name)
+					continue
+				}
+				p, err := arms.arm(name)
+				if err != nil {
+					return nil, err
+				}
+				inputs = append(inputs, s.cfg.Chaos.wrapArm(name, p))
+				armIdx = append(armIdx, name)
+			}
+			if len(inputs) == 0 {
+				return nil, errUnavailable{"all ensemble arms' circuit breakers are open"}
+			}
+			return inputs, nil
+		},
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-
-	// Ensemble controllers: admit each arm through its breaker.
-	var inputs []prefetch.Prefetcher
-	for _, name := range ArmNames() {
-		if !s.breakers[name].Allow() {
-			excluded = append(excluded, name)
-			continue
-		}
-		p, aerr := arms.arm(name)
-		if aerr != nil {
-			return nil, nil, nil, nil, aerr
-		}
-		inputs = append(inputs, s.cfg.Chaos.wrapArm(name, p))
-		armIdx = append(armIdx, name)
-	}
-	if len(inputs) == 0 {
-		return nil, nil, nil, nil,
-			errUnavailable{"all ensemble arms' circuit breakers are open"}
-	}
-
-	switch req.Controller {
-	case "resemble":
-		ctl := core.NewController(s.controllerConfig(req), inputs)
-		return ctl, ctl, armIdx, excluded, nil
-	case "resemble-t":
-		cfg := s.controllerConfig(req)
-		cfg.TableHashBits = 8
-		ctl := core.NewTabularController(cfg, inputs)
-		return ctl, ctl, armIdx, excluded, nil
-	case "sbp-e":
-		return sbp.New(sbp.Config{}, inputs), nil, armIdx, excluded, nil
-	default:
-		return nil, nil, nil, nil, fmt.Errorf("unknown controller %q (want one of %v)",
-			req.Controller, Controllers())
-	}
+	probe, _ = src.(maskProbe)
+	return src, probe, armIdx, excluded, nil
 }
 
 // controllerConfig mirrors the batch experiment configuration
@@ -561,13 +554,11 @@ func (s *Service) controllerConfig(req Request) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1 + req.Seed
 	cfg.FixedFrac = req.FixedFrac
-	if !s.cfg.DisableMasking {
-		cfg.MaskFloor = 0.2
-		cfg.MaskWindow = 1024
-		cfg.MaskBadWindows = 2
-		cfg.MaskMinSamples = 16
-		cfg.MaskReprobe = 16 * 1024
-	}
+	cfg.MaskFloor = 0.2
+	cfg.MaskWindow = 1024
+	cfg.MaskBadWindows = 2
+	cfg.MaskMinSamples = 16
+	cfg.MaskReprobe = 16 * 1024
 	return cfg
 }
 

@@ -93,7 +93,7 @@ func WithBaseline() Option {
 
 // WithFaults installs a fault-injection plan. The Runner does not
 // invoke it on its own — prefetchers are constructed by the caller —
-// but Wrap/WrapAll apply it, giving experiment harnesses and direct
+// but Wrap applies it, giving experiment harnesses and direct
 // users a single place to route every prefetcher through the plan.
 func WithFaults(plan func(prefetch.Prefetcher) prefetch.Prefetcher) Option {
 	return func(s *settings) { s.faults = plan }
@@ -185,15 +185,6 @@ func (r *Runner) Wrap(p prefetch.Prefetcher) prefetch.Prefetcher {
 		return p
 	}
 	return r.set.faults(p)
-}
-
-// WrapAll routes every prefetcher through the WithFaults plan,
-// in place, and returns the slice.
-func (r *Runner) WrapAll(ps []prefetch.Prefetcher) []prefetch.Prefetcher {
-	for i, p := range ps {
-		ps[i] = r.Wrap(p)
-	}
-	return ps
 }
 
 // Run simulates the trace with the given prefetch source (nil — or any

@@ -203,10 +203,6 @@ func TestRunnerWrap(t *testing.T) {
 	if r.Wrap(p) == nil || wrapped != 1 {
 		t.Fatalf("Wrap did not route through the plan (wrapped=%d)", wrapped)
 	}
-	r.WrapAll([]prefetch.Prefetcher{p, p})
-	if wrapped != 3 {
-		t.Errorf("WrapAll wrapped %d times, want 3", wrapped)
-	}
 	plainRunner := NewRunner(DefaultConfig())
 	if plainRunner.Wrap(p) != p {
 		t.Error("Wrap without a plan must be the identity")

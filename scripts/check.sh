@@ -38,9 +38,12 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # within their allocation budgets, and a run's Chrome trace validates.
 # The multi-core machine steps sim's cores over a shared LLC/DRAM: one
 # core must equal a sim run exactly, and a 4-core mix must keep its
-# recorded per-core results.
+# recorded per-core results. Every source name must build the same
+# source through the registry from each caller (-short leaves the DQN
+# and LSTM sources to the full suite below).
 go test -race -count 1 -run 'TestStepSteadyStateZeroAlloc|TestBaselineRunAllocBudget|TestRunChromeTraceValidates|TestCheckpointBytesDeterministic|TestRetireTimeOfMatchesBisect|TestFilterMatchesFullHierarchy|TestResumeFromOldFormatCheckpoint|FuzzSimLoadState' ./internal/sim/
 go test -race -count 1 -run 'TestSingleCoreMatchesSim|TestSingleCoreSharedLLCIsMeasuredRegion|TestFourCoreFingerprint' ./internal/multicore/
+go test -race -short -count 1 -run 'TestSourceFingerprints' ./internal/sources/ ./cmd/resemble/
 go test -race -count 1 -run 'TestResetMatchesNew|TestFilterMatchesFIFO|TestOneProbeMatchesGetThenPut|TestRunningBestMatchesRescan' ./internal/prefetch/...
 go test -race -count 1 -run 'TestWarmSourceAllocs|TestRequestAllocBudget' ./internal/service/
 go test -race -count 1 -run 'TestPooledFig1cAllocBudget' ./internal/experiments/
