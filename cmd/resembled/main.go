@@ -6,11 +6,13 @@
 //
 // Daemon mode:
 //
-//	resembled -addr 127.0.0.1:8080 -workers 4 -checkpoint state.ckpt
+//	resembled -addr 127.0.0.1:8080 -workers 4 -store-dir store
 //
-// serves the JSON API (POST /v1/run, GET /healthz /readyz /metrics,
-// POST /drain) until SIGINT/SIGTERM, then drains gracefully: admission
-// closes, in-flight simulations finish, a final checkpoint is written.
+// serves POST /v1/run and GET /v1/explain plus the operator surface
+// it shares with resemblefront (GET /healthz /readyz /metrics
+// /metrics/history /stats /debug/incidents /debug/flightrec, POST
+// /debug/incidents/capture /drain) until SIGINT/SIGTERM, then drains
+// gracefully: admission closes and in-flight simulations finish.
 //
 // Soak mode:
 //
@@ -18,11 +20,11 @@
 //
 // phases through zero-fault equivalence (service windows must be
 // byte-identical to a batch sim.Runner over the same requests), a
-// chaos window (stuck arm + failing checkpoint writer + slow handlers:
-// breakers must open, overload must shed with 503 + Retry-After,
-// readiness must flip), recovery (chaos off: readiness and breakers
-// must heal), and a drain audit (final checkpoint valid, goroutines
-// back to baseline). Any violated assertion exits nonzero.
+// chaos window (stuck arm + slow handlers: breakers must open,
+// overload must shed with 503 + Retry-After, readiness must flip),
+// recovery (chaos off: readiness and breakers must heal), and a drain
+// audit (clean drain, goroutines back to baseline). Any violated
+// assertion exits nonzero.
 package main
 
 import (
@@ -47,11 +49,8 @@ func main() {
 		queue      = flag.Int("queue", 32, "admission queue depth")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request deadline")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound")
-		ckpt       = flag.String("checkpoint", "", "service checkpoint path (empty = off)")
-		ckptEvery  = flag.Duration("checkpoint-every", 15*time.Second, "periodic checkpoint interval")
 		storeDir   = flag.String("store-dir", "", "durable artifact store root (empty = off): runs checkpoint into it, /v1/run accepts resume_from, and the trace cache gains a content-addressed disk tier; safe to share with other resembled/resemblefront processes on a local filesystem")
 		runCkp     = flag.Int("run-checkpoint-every", 0, "accesses between per-run store checkpoints when -store-dir is set (0 = engine default)")
-		resume     = flag.Bool("resume", false, "restore service counters from -checkpoint")
 		accesses   = flag.Int("accesses", 20000, "default trace length per request")
 		telDir     = flag.String("telemetry", "", "telemetry output directory (empty = off)")
 		chromeOut  = flag.String("trace-chrome", "", "write the span trace as Chrome trace-event JSON (chrome://tracing, Perfetto) to this file on exit")
@@ -119,9 +118,6 @@ func main() {
 		RequestTimeout:     *timeout,
 		DrainTimeout:       *drainT,
 		DefaultAccesses:    *accesses,
-		CheckpointPath:     *ckpt,
-		CheckpointEvery:    *ckptEvery,
-		Resume:             *resume,
 		Store:              store,
 		RunCheckpointEvery: *runCkp,
 		Telemetry:          tel,

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"resemble/internal/checkpoint"
 	"resemble/internal/core"
 	"resemble/internal/resilience"
 	"resemble/internal/service"
@@ -360,24 +358,22 @@ func (k *soak) auditCapture(addr string) {
 		info.Seq, info.Files, info.TopAllocSpace[0].Func)
 }
 
-// phaseChaosAndRecovery runs the fault window — stuck arm, failing
-// checkpoint writer, slow handlers under a tiny queue — asserts every
-// resilience mechanism engages, then lifts the chaos and asserts the
-// service heals and drains to a valid final checkpoint.
+// phaseChaosAndRecovery runs the fault window — stuck arm, slow
+// handlers under a tiny queue — asserts every resilience mechanism
+// engages, then lifts the chaos and asserts the service heals and
+// drains cleanly.
 func (k *soak) phaseChaosAndRecovery() {
-	k.cfg.logf("soak: phase 2: chaos window (stuck arm, failing checkpoint writer, slow handlers)")
+	k.cfg.logf("soak: phase 2: chaos window (stuck arm, slow handlers)")
 	dir, err := os.MkdirTemp("", "resembled-soak")
 	if err != nil {
 		k.failf("tempdir: %v", err)
 		return
 	}
 	defer os.RemoveAll(dir)
-	ckpt := filepath.Join(dir, "service.ckpt")
 
 	chaos := &service.Chaos{
-		StuckArm:           "bo",
-		FaultSeed:          97,
-		CheckpointFailures: 2,
+		StuckArm:  "bo",
+		FaultSeed: 97,
 	}
 	// Attribution on in the chaos window: phase 1 keeps it off to
 	// preserve the byte-identity contract, here it must survive chaos
@@ -395,18 +391,12 @@ func (k *soak) phaseChaosAndRecovery() {
 		// below embeds a real pre-incident window.
 		HistoryEvery: 50 * time.Millisecond,
 		Profile:      service.ProfileConfig{Dir: filepath.Join(dir, "profiles"), Ring: 2},
-		// Periodic checkpoints tick inside the chaos window so the
-		// injected write failures actually hit the retry pipeline.
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 200 * time.Millisecond,
-		Chaos:           chaos,
+		Chaos:        chaos,
 		ControllerConfig: func(req service.Request) core.Config {
-			cfg := core.DefaultConfig()
+			cfg := core.DefaultConfig().WithMasking()
 			cfg.Seed = 1 + req.Seed
 			cfg.Batch = 64
-			cfg.MaskFloor = 0.2
 			cfg.MaskWindow = 512
-			cfg.MaskBadWindows = 2
 			cfg.MaskMinSamples = 8
 			cfg.MaskReprobe = 1 << 20
 			return cfg
@@ -567,25 +557,10 @@ func (k *soak) phaseChaosAndRecovery() {
 	k.auditAttribution(s.Addr())
 	k.auditCapture(s.Addr())
 
-	// Drain: final checkpoint must land despite the injected write
-	// failures earlier (the retry layer absorbed them).
 	k.cfg.logf("soak: phase 4: drain audit")
 	if err := s.Close(); err != nil {
 		k.failf("drain: %v", err)
-	}
-	st := s.Stats()
-	if st.CkpRetries < 2 {
-		k.failf("checkpoint retries = %d, want >= 2 (injected failures not exercised)", st.CkpRetries)
 	} else {
-		k.passf("checkpoint writer retried %d times over injected failures", st.CkpRetries)
-	}
-	f, err := checkpoint.ReadFile(ckpt)
-	switch {
-	case err != nil:
-		k.failf("final checkpoint: %v", err)
-	case !f.Has("service"):
-		k.failf("final checkpoint missing service section")
-	default:
-		k.passf("drained to a valid final checkpoint (%s)", fmt.Sprintf("%v", f.Sections()))
+		k.passf("drained cleanly after the chaos window")
 	}
 }

@@ -12,8 +12,10 @@
 //	resemblefront -addr 127.0.0.1:8320 \
 //	    -backends 127.0.0.1:8321,127.0.0.1:8322,127.0.0.1:8323
 //
-// serves POST /v1/run, GET /healthz /readyz /metrics /stats and POST
-// /drain until SIGINT/SIGTERM, then drains: admission closes,
+// serves POST /v1/run plus the operator surface it shares with
+// resembled (GET /healthz /readyz /metrics /metrics/history /stats
+// /debug/incidents /debug/flightrec, POST /debug/incidents/capture
+// /drain) until SIGINT/SIGTERM, then drains: admission closes,
 // in-flight requests finish, and with -drain-backends the fleet is
 // quiesced in address order.
 //

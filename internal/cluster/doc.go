@@ -27,7 +27,10 @@
 //     the front door's collector in admission-seq order — a sharded
 //     run's windows.jsonl byte-matches the single-instance run;
 //   - drain: the front door quiesces in order — admission closes,
-//     in-flight requests finish, then each backend is drained in turn.
+//     in-flight requests finish, then each backend is drained in turn;
+//   - operations: the nine operator routes (/healthz, /readyz,
+//     /metrics, /stats, incidents, drain, ...) come from
+//     telemetry.Surface, the same surface each backend serves.
 //
 // Everything is stdlib-only, like the rest of the repo.
 package cluster

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"net"
+	"net/http"
 	"testing"
 	"time"
+
+	"resemble/internal/service"
 )
 
 // TestFrontDrainClosesUnusedConnections: a connection that never sends
@@ -27,5 +30,43 @@ func TestFrontDrainClosesUnusedConnections(t *testing.T) {
 	}
 	if d := time.Since(began); d > 2*time.Second {
 		t.Fatalf("drain took %s with an unused connection open", d)
+	}
+}
+
+// TestFrontDrainBackendsStopsEveryBackend: with DrainBackends, the
+// front door's drain returns only once every real backend reads
+// Stopped. The front takes a refused /healthz as "gone", so a backend
+// must publish Stopped before its HTTP front starts closing.
+func TestFrontDrainBackendsStopsEveryBackend(t *testing.T) {
+	backends := make([]*service.Service, 3)
+	addrs := make([]string, len(backends))
+	for i := range backends {
+		backends[i] = startTracedBackend(t, 1)
+		addrs[i] = backends[i].Addr()
+	}
+	f, err := New(Config{
+		Backends:      addrs,
+		DrainTimeout:  10 * time.Second,
+		DrainBackends: true,
+		Probe:         ProbeConfig{Interval: 20 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Close() })
+	req := service.Request{Workload: "433.milc", Controller: "none", Accesses: 2000}
+	if status, _, out := postRun(t, f.Addr(), req); status != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", status, out.Error)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for i, s := range backends {
+		if st := s.State(); st != service.Stopped {
+			t.Errorf("backend %d (%s) state = %v after the fleet drain, want stopped", i, addrs[i], st)
+		}
 	}
 }

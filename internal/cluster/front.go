@@ -84,14 +84,11 @@ type Config struct {
 	// under the front door's request span (see DESIGN.md §15). Nil
 	// disables both; runs are still routed.
 	Telemetry *telemetry.Collector
-	// HistoryEvery is the metrics-history sampling period (default
-	// telemetry.DefaultHistoryEvery); HistorySamples the ring size
-	// (default telemetry.DefaultHistorySamples). Only meaningful with
-	// Telemetry set.
-	HistoryEvery   time.Duration
-	HistorySamples int
-	// IncidentMinInterval rate-limits automatic incident captures
-	// (default telemetry's 5s; manual captures always fire).
+	// HistoryEvery, HistorySamples and IncidentMinInterval configure the
+	// operator surface (see telemetry.SurfaceConfig); they only matter
+	// with Telemetry set.
+	HistoryEvery        time.Duration
+	HistorySamples      int
 	IncidentMinInterval time.Duration
 	// Logf receives operational log lines (nil discards them unless
 	// Logger is set); Logger receives structured request logs.
@@ -118,18 +115,12 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
 	}
-	if c.HistoryEvery <= 0 {
-		c.HistoryEvery = telemetry.DefaultHistoryEvery
-	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg != nil {
-			c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	if c.Logf == nil {
+		lg := c.Logger
+		c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
 	}
 	return c
 }
@@ -185,11 +176,10 @@ type Front struct {
 	stats   frontCounters
 	perBack map[string]*backendCounters
 
-	// history/recorder are non-nil iff Telemetry is configured.
-	history  *telemetry.History
-	recorder *telemetry.FlightRecorder
-	histStop chan struct{}
-	histDone chan struct{}
+	// ops is the operator surface shared with the backends: the nine
+	// debug routes, the metrics-history sampler and the incident flight
+	// recorder (ops.Recorder, nil-safe without telemetry).
+	ops *telemetry.Surface
 
 	fleetMu sync.Mutex
 	fleet   []FleetIncident
@@ -197,8 +187,6 @@ type Front struct {
 	drainOnce sync.Once
 	drainErr  error
 	drained   chan struct{}
-
-	start time.Time
 }
 
 // fleetIncidentCap bounds the front door's in-memory fleet-bundle ring.
@@ -225,7 +213,6 @@ func New(cfg Config) (*Front, error) {
 		perBack:  make(map[string]*backendCounters),
 		drained:  make(chan struct{}),
 		commits:  newCommitter(cfg.Telemetry),
-		start:    time.Now(),
 	}
 	for _, b := range cfg.Backends {
 		f.ring.Add(b)
@@ -236,16 +223,10 @@ func New(cfg Config) (*Front, error) {
 	probe := cfg.Probe
 	probe.Logf = cfg.Logf
 	f.health = NewHealth(f.ring.Backends(), probe)
-	if cfg.Telemetry != nil {
-		// Front spans carry the "front" process label in stitched traces;
-		// adopted backend spans are stamped per backend at adoption.
-		cfg.Telemetry.SetProc("front")
-		f.history = telemetry.NewHistory(cfg.HistorySamples)
-		f.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
-			Process:     "resemblefront",
-			MinInterval: cfg.IncidentMinInterval,
-		}, cfg.Telemetry, f.history)
-	}
+	// Front spans carry the "front" process label in stitched traces;
+	// adopted backend spans are stamped per backend at adoption.
+	cfg.Telemetry.SetProc("front")
+	f.ops = telemetry.NewSurface(cfg.Telemetry, f.surfaceConfig())
 	return f, nil
 }
 
@@ -277,6 +258,7 @@ func (f *Front) Start() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	f.ln = ln
+	f.ops.Start(f.Addr())
 	f.srv = &http.Server{Handler: f.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	f.unused.Install(f.srv)
 	go func() {
@@ -286,77 +268,55 @@ func (f *Front) Start() error {
 		}
 	}()
 	f.health.Start()
-	f.recorder.SetProcess("resemblefront " + f.Addr())
-	if f.history != nil {
-		f.histStop = make(chan struct{})
-		f.histDone = make(chan struct{})
-		go f.historyLoop()
-	}
 	f.cfg.Logf("cluster: front door ready on %s over %d backends %v",
 		f.Addr(), f.ring.Len(), f.ring.Backends())
 	return nil
 }
 
-// historyLoop samples the fleet exposition into the bounded history
-// ring every HistoryEvery until drain.
-func (f *Front) historyLoop() {
-	defer close(f.histDone)
-	f.history.Record(time.Now(), f.metricsSnapshot())
-	t := time.NewTicker(f.cfg.HistoryEvery)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			f.history.Record(now, f.metricsSnapshot())
-		case <-f.histStop:
-			return
-		}
-	}
-}
-
 // Handler returns the front door's HTTP API:
 //
-//	POST /v1/run                  route a simulation to its backend (failover/hedge)
-//	GET  /healthz                 front-door liveness
-//	GET  /readyz                  front-door readiness (503 draining/overloaded)
-//	GET  /metrics                 fleet-wide OpenMetrics exposition
-//	GET  /metrics/history         recent fleet metrics samples (JSON ring)
-//	GET  /stats                   front counters + per-backend health JSON
-//	GET  /debug/incidents         assembled fleet incident bundles
-//	POST /debug/incidents/capture manual fleet incident capture (synchronous)
-//	GET  /debug/flightrec         the front door's own recorder snapshot
-//	POST /drain                   graceful front-door drain (202)
+//	POST /v1/run  route a simulation to its backend (failover/hedge)
+//
+// plus the nine operator routes shared with the backends
+// (telemetry.Surface): /metrics is fleet-wide, /stats carries
+// per-backend health, and the incident routes serve fleet bundles.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", f.handleRun)
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	mux.HandleFunc("GET /metrics/history", f.handleMetricsHistory)
-	mux.HandleFunc("GET /stats", f.handleStats)
-	mux.HandleFunc("GET /debug/incidents", f.handleIncidents)
-	mux.HandleFunc("POST /debug/incidents/capture", f.handleIncidentCapture)
-	mux.HandleFunc("GET /debug/flightrec", f.handleFlightRec)
-	mux.HandleFunc("POST /drain", f.handleDrain)
+	f.ops.Register(mux)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// unavailable answers 503 with the uniform backpressure contract.
-func unavailable(w http.ResponseWriter, reason, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"status": "unavailable",
-		"reason": reason,
-		"error":  msg,
-	})
+// surfaceConfig is what the front door supplies to its operator
+// surface.
+func (f *Front) surfaceConfig() telemetry.SurfaceConfig {
+	return telemetry.SurfaceConfig{
+		Process:             "resemblefront",
+		HistoryEvery:        f.cfg.HistoryEvery,
+		HistorySamples:      f.cfg.HistorySamples,
+		IncidentMinInterval: f.cfg.IncidentMinInterval,
+		State:               func() string { return f.State().String() },
+		Ready:               f.readiness,
+		Overlay:             f.overlay,
+		Rules: []telemetry.LabelRule{
+			{Prefix: "cluster.backend.state", Label: "backend"},
+			{Prefix: "cluster.backend.queue.depth", Label: "backend"},
+			{Prefix: "cluster.backend.ejections", Label: "backend"},
+			{Prefix: "cluster.backend.transitions", Label: "backend"},
+			{Prefix: "cluster.backend.probe.failures", Label: "backend"},
+			{Prefix: "cluster.backend.served", Label: "backend"},
+			{Prefix: "cluster.backend.failovers", Label: "backend"},
+			{Prefix: "cluster.backend.hedges", Label: "backend"},
+			{Prefix: "cluster.backend.retries", Label: "backend"},
+		},
+		Stats: func() any { return f.Stats() },
+		Incidents: func() (any, int) {
+			list := f.FleetIncidents()
+			return list, len(list)
+		},
+		Capture: func(inc telemetry.Incident) any { return f.assembleFleetBundle(inc) },
+		Drain:   f.Close,
+	}
 }
 
 // RouteKey derives the consistent-hash key from the request's
@@ -372,16 +332,16 @@ func RouteKey(req service.Request) string {
 func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 	if f.State() != service.Ready {
 		f.stats.rejected.Add(1)
-		unavailable(w, service.ReadyReasonDraining, "front door is draining")
+		telemetry.WriteUnavailable(w, service.ReadyReasonDraining, "front door is draining")
 		return
 	}
 	select {
 	case f.tokens <- struct{}{}:
 	default:
 		f.stats.shed.Add(1)
-		f.recorder.Trigger("shed.burst",
+		f.ops.Recorder.Trigger("shed.burst",
 			fmt.Sprintf("front door at %d in-flight requests", cap(f.tokens)))
-		unavailable(w, service.ReadyReasonOverloaded,
+		telemetry.WriteUnavailable(w, service.ReadyReasonOverloaded,
 			fmt.Sprintf("front door at %d in-flight requests: shed", cap(f.tokens)))
 		return
 	}
@@ -389,16 +349,16 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
+		telemetry.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var req service.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
+		telemetry.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.Workload == "" || req.Controller == "" {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "workload and controller are required"})
+		telemetry.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "workload and controller are required"})
 		return
 	}
 	// Windows ride back for the admission-seq merge whenever the front
@@ -412,7 +372,7 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: err.Error()})
+		telemetry.WriteJSON(w, http.StatusBadRequest, service.Response{Error: err.Error()})
 		return
 	}
 
@@ -445,7 +405,7 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 			"seq", seq, "backend", a.backend, "hedged", a.hedged,
 			"workload", req.Workload, "controller", req.Controller,
 			"dur_ms", float64(time.Since(began))/float64(time.Millisecond))
-		writeJSON(w, http.StatusOK, a.resp)
+		telemetry.WriteJSON(w, http.StatusOK, a.resp)
 		return
 	}
 	// Terminal failure: the seq slot still advances so later runs merge.
@@ -465,12 +425,9 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !clientWantsSpans {
 		resp.Spans = nil
 	}
-	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
 	f.cfg.Logger.Warn("request failed",
 		"seq", seq, "backend", a.backend, "status", status, "err", resp.Error)
-	writeJSON(w, status, resp)
+	telemetry.WriteJSON(w, status, resp)
 }
 
 // admit assigns the admission sequence number that fixes the request's
@@ -556,7 +513,7 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 			if bc != nil {
 				bc.hedges.Add(1)
 			}
-			f.recorder.Note("hedge", b)
+			f.ops.Recorder.Note("hedge", b)
 		case launched > 1:
 			if bc != nil {
 				bc.retries.Add(1)
@@ -607,7 +564,7 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 			if launched < len(order) {
 				if f.budget.Spend() {
 					f.stats.failovers.Add(1)
-					if inc := f.recorder.Trigger("failover",
+					if inc := f.ops.Recorder.Trigger("failover",
 						fmt.Sprintf("backend %s failed, retrying on %s", a.backend, order[launched])); inc != nil {
 						go f.assembleFleetBundle(*inc)
 					}
@@ -616,7 +573,7 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 					continue
 				}
 				f.stats.retriesDenied.Add(1)
-				if inc := f.recorder.Trigger("retry.budget.exhausted",
+				if inc := f.ops.Recorder.Trigger("retry.budget.exhausted",
 					fmt.Sprintf("no tokens left to retry past %s", a.backend)); inc != nil {
 					go f.assembleFleetBundle(*inc)
 				}
@@ -740,25 +697,22 @@ func (f *Front) adoptAttemptSpans(a attempt) {
 	f.cfg.Telemetry.AdoptSpans(spans)
 }
 
-func (f *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": f.State().String()})
-}
-
-func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// readiness decides /readyz: ready while admitting with in-flight
+// headroom.
+func (f *Front) readiness() (any, string) {
 	switch {
 	case f.State() != service.Ready:
-		unavailable(w, service.ReadyReasonDraining, "front door is draining")
+		return nil, service.ReadyReasonDraining
 	case len(f.tokens) >= cap(f.tokens):
-		unavailable(w, service.ReadyReasonOverloaded, "front door in-flight limit reached")
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":           "ok",
-			"in_flight":        len(f.tokens),
-			"max_in_flight":    cap(f.tokens),
-			"healthy_backends": f.health.HealthyCount(),
-			"backends":         f.ring.Len(),
-		})
+		return nil, service.ReadyReasonOverloaded
 	}
+	return map[string]any{
+		"status":           "ok",
+		"in_flight":        len(f.tokens),
+		"max_in_flight":    cap(f.tokens),
+		"healthy_backends": f.health.HealthyCount(),
+		"backends":         f.ring.Len(),
+	}, ""
 }
 
 // Stats is the front door's JSON counter view.
@@ -809,20 +763,11 @@ func (f *Front) Stats() Stats {
 	}
 }
 
-func (f *Front) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
-}
-
-// metricsSnapshot assembles the fleet-wide registry snapshot that
-// backs both the OpenMetrics exposition and the metrics-history
-// sampler: the front door's registry (when telemetry is on) overlaid
-// with its own counters and one labeled family per backend for health
+// overlay writes the front door's own counters over the fleet-wide
+// exposition snapshot, with one labeled family per backend for health
 // state, ejections, failovers, hedges, retries and reported queue
 // depth.
-func (f *Front) metricsSnapshot() telemetry.RegistrySnapshot {
-	reg := f.cfg.Telemetry.Registry()
-	telemetry.UpdateRuntimeGauges(reg, f.start)
-	snap := reg.Snapshot()
+func (f *Front) overlay(snap *telemetry.RegistrySnapshot) {
 	st := f.Stats()
 	snap.Counters["cluster.requests.admitted"] = st.Admitted
 	snap.Counters["cluster.requests.completed"] = st.Completed
@@ -869,28 +814,6 @@ func (f *Front) metricsSnapshot() telemetry.RegistrySnapshot {
 		snap.Counters["cluster.backend.hedges."+bs.Backend] = bc.hedges.Load()
 		snap.Counters["cluster.backend.retries."+bs.Backend] = bc.retries.Load()
 	}
-	if reg == nil {
-		tmp := telemetry.NewRegistry()
-		telemetry.UpdateRuntimeGauges(tmp, f.start)
-		for name, v := range tmp.Snapshot().Gauges {
-			snap.Gauges[name] = v
-		}
-	}
-	return snap
-}
-
-func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", telemetry.PromContentType)
-	_ = telemetry.WritePrometheus(w, f.metricsSnapshot(),
-		telemetry.LabelRule{Prefix: "cluster.backend.state", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.queue.depth", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.ejections", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.transitions", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.probe.failures", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.served", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.failovers", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.hedges", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.retries", Label: "backend"})
 }
 
 // breakerStateValue maps a breaker state name to the gauge encoding
@@ -969,50 +892,6 @@ func (f *Front) FleetIncidents() []FleetIncident {
 	return append([]FleetIncident(nil), f.fleet...)
 }
 
-func (f *Front) handleIncidents(w http.ResponseWriter, _ *http.Request) {
-	list := f.FleetIncidents()
-	if list == nil {
-		list = []FleetIncident{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(list), "incidents": list})
-}
-
-func (f *Front) handleIncidentCapture(w http.ResponseWriter, _ *http.Request) {
-	if f.recorder == nil {
-		unavailable(w, "disabled", "flight recorder disabled (front door has no telemetry collector)")
-		return
-	}
-	inc := f.recorder.Capture("manual: POST /debug/incidents/capture", "")
-	writeJSON(w, http.StatusOK, f.assembleFleetBundle(inc))
-}
-
-func (f *Front) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, f.recorder.Snapshot())
-}
-
-func (f *Front) handleMetricsHistory(w http.ResponseWriter, _ *http.Request) {
-	samples := f.history.Samples()
-	if samples == nil {
-		samples = []telemetry.HistorySample{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"period_ms": f.cfg.HistoryEvery.Milliseconds(),
-		"capacity":  f.history.Cap(),
-		"count":     len(samples),
-		"samples":   samples,
-	})
-}
-
-// handleDrain starts a graceful drain in the background (202).
-func (f *Front) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), f.cfg.DrainTimeout+10*time.Second)
-		defer cancel()
-		_ = f.Drain(ctx)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "draining"})
-}
-
 // Drain gracefully stops the front door: admission closes (new
 // requests get 503 + Retry-After), in-flight requests finish (the
 // HTTP shutdown waits for them), the prober stops, and — when
@@ -1031,10 +910,7 @@ func (f *Front) Drain(ctx context.Context) error {
 			<-f.httpDone
 		}
 		f.health.Stop()
-		if f.histStop != nil {
-			close(f.histStop)
-			<-f.histDone
-		}
+		f.ops.Stop()
 		if f.cfg.DrainBackends {
 			f.drainBackends(ctx)
 		}

@@ -122,6 +122,20 @@ func DefaultConfig() Config {
 	}
 }
 
+// WithMasking returns c with graceful degradation on at the operating
+// point the robustness fault matrix evaluates and the service serves:
+// a 0.2 accuracy floor over 1,024-access windows, two bad windows to
+// mask, 16 resolved prefetches to judge an arm, and a re-probe every
+// 16K accesses.
+func (c Config) WithMasking() Config {
+	c.MaskFloor = 0.2
+	c.MaskWindow = 1024
+	c.MaskBadWindows = 2
+	c.MaskMinSamples = 16
+	c.MaskReprobe = 16 * 1024
+	return c
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.HashBits == 0 || c.HashBits > 64 {

@@ -31,7 +31,7 @@ func degradationRun(t *testing.T, mode faults.Mode, masked bool) (sim.Result, in
 	cfg := core.DefaultConfig()
 	cfg.Batch = 64
 	if masked {
-		cfg = faultMaskConfig(cfg)
+		cfg = cfg.WithMasking()
 	}
 	pfs := sources.TableII()
 	pfs[0] = faults.Wrap(pfs[0], faults.Config{Mode: mode, Seed: 97})
@@ -100,7 +100,7 @@ func TestMaskingDQNNeverWorse(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.Batch = 64
 		if masked {
-			cfg = faultMaskConfig(cfg)
+			cfg = cfg.WithMasking()
 		}
 		pfs := sources.TableII()
 		pfs[0] = faults.Wrap(pfs[0], faults.Config{Mode: faults.Noisy, Seed: 97})

@@ -32,17 +32,6 @@ type FaultMatrixResult struct {
 	Rows     []FaultRow
 }
 
-// faultMaskConfig returns the controller configuration with graceful
-// degradation enabled at the evaluation operating point.
-func faultMaskConfig(cfg core.Config) core.Config {
-	cfg.MaskFloor = 0.2
-	cfg.MaskWindow = 1024
-	cfg.MaskBadWindows = 2
-	cfg.MaskMinSamples = 16
-	cfg.MaskReprobe = 16 * 1024
-	return cfg
-}
-
 // FaultMatrix runs the graceful-degradation evaluation: the BO input
 // prefetcher is broken with each deterministic fault class (stuck,
 // silent, noisy) and the masked ensemble, the unmasked ensemble and
@@ -98,7 +87,7 @@ func FaultMatrix(o Options) (*FaultMatrixResult, error) {
 			mode := modes[(i-modeBase)/3]
 			switch (i - modeBase) % 3 {
 			case 0:
-				masked := core.NewTabularController(faultMaskConfig(o.controllerConfig()), breakBO(mode))
+				masked := core.NewTabularController(o.controllerConfig().WithMasking(), breakBO(mode))
 				maskedCtrls[(i-modeBase)/3] = masked
 				results[i] = o.run(simCfg, tr, masked)
 			case 1:

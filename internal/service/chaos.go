@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +21,6 @@ import (
 //     masked runs trip its breaker;
 //   - CorruptTraces exercises input validation: each simulated trace
 //     has this fraction of records corrupted before the run;
-//   - CheckpointFailures exercises the retrying atomic writer: the
-//     first N checkpoint write attempts fail mid-stream through a
-//     faults.FailingWriter;
 //   - SlowHandler exercises deadline propagation and load shedding:
 //     every request stalls this long before simulating, backing the
 //     queue up under load;
@@ -44,22 +40,18 @@ type Chaos struct {
 	FaultStart int
 	// CorruptTraces is the per-record corruption rate in [0,1].
 	CorruptTraces float64
-	// CheckpointFailures fails this many checkpoint write attempts
-	// before letting writes through.
-	CheckpointFailures int32
 	// SlowHandler stalls every request this long before simulating.
 	SlowHandler time.Duration
 	// PanicEvery panics every Nth simulation (0 = never).
 	PanicEvery int
 
-	ckpFails atomic.Int32
-	runs     atomic.Uint64
-	stopped  atomic.Bool
+	runs    atomic.Uint64
+	stopped atomic.Bool
 }
 
-// Stop ends the chaos window: subsequent requests and checkpoint
-// writes run fault-free, letting the soak harness assert that the
-// service heals (breakers close, readiness returns, retries stop).
+// Stop ends the chaos window: subsequent requests run fault-free,
+// letting the soak harness assert that the service heals (breakers
+// close, readiness returns).
 func (c *Chaos) Stop() {
 	if c != nil {
 		c.stopped.Store(true)
@@ -87,16 +79,6 @@ func (c *Chaos) wrapTrace(tr *trace.Trace) *trace.Trace {
 		return tr
 	}
 	return faults.CorruptRecords(tr, c.CorruptTraces, c.FaultSeed)
-}
-
-// wrapCheckpointWriter fails the first CheckpointFailures write
-// attempts mid-stream; each failed attempt is torn, never atomic —
-// exactly the failure the temp+rename+retry pipeline must absorb.
-func (c *Chaos) wrapCheckpointWriter(w io.Writer) io.Writer {
-	if !c.active() || c.ckpFails.Add(1) > c.CheckpointFailures {
-		return w
-	}
-	return &faults.FailingWriter{W: w, FailAfter: 4}
 }
 
 // shouldPanic reports whether this simulation is the unlucky Nth.

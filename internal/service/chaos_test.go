@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"resemble/internal/checkpoint"
 	"resemble/internal/core"
 	"resemble/internal/resilience"
 )
@@ -18,12 +17,10 @@ import (
 // (reprobe beyond any test trace) so the end-of-run breaker report is
 // deterministic.
 func fastMask(req Request) core.Config {
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultConfig().WithMasking()
 	cfg.Seed = 1 + req.Seed
 	cfg.Batch = 64
-	cfg.MaskFloor = 0.2
 	cfg.MaskWindow = 512
-	cfg.MaskBadWindows = 2
 	cfg.MaskMinSamples = 8
 	cfg.MaskReprobe = 1 << 20
 	return cfg
@@ -142,38 +139,6 @@ func TestChaosBreakerRecovers(t *testing.T) {
 	}
 	if st := s.Breaker("bo").State(); st != resilience.Closed {
 		t.Fatalf("bo breaker = %v after clean probe, want closed", st)
-	}
-}
-
-// TestChaosCheckpointWriterRetried: injected checkpoint write failures
-// are absorbed by the retrying atomic writer — the retry counters move
-// and the final checkpoint is valid.
-func TestChaosCheckpointWriterRetried(t *testing.T) {
-	ckp := t.TempDir() + "/service.ckpt"
-	chaos := &Chaos{CheckpointFailures: 2}
-	s := startService(t, func(c *Config) {
-		c.Chaos = chaos
-		c.CheckpointPath = ckp
-	})
-	if status, resp := post(t, s, Request{Workload: "433.milc", Controller: "none", Accesses: 2000}); status != http.StatusOK {
-		t.Fatalf("request: status %d (%s)", status, resp.Error)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("drain with failing checkpoint writer: %v", err)
-	}
-	st := s.Stats()
-	if st.CkpRetries < 2 {
-		t.Fatalf("checkpoint retries = %d, want >= 2 (two injected failures)", st.CkpRetries)
-	}
-	if st.CkpWrites == 0 {
-		t.Fatal("no checkpoint write succeeded")
-	}
-	f, err := checkpoint.ReadFile(ckp)
-	if err != nil {
-		t.Fatalf("checkpoint after injected failures: %v", err)
-	}
-	if !f.Has("service") {
-		t.Fatal("checkpoint missing service section")
 	}
 }
 

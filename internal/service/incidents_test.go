@@ -249,3 +249,31 @@ func TestIncidentEndpointsDisabledWithoutTelemetry(t *testing.T) {
 		t.Fatalf("/metrics/history without telemetry: %d", resp.StatusCode)
 	}
 }
+
+// TestIncidentP99BreachTrigger: with IncidentP99MS set, the history
+// sampler's per-tick hook captures a p99.breach incident once the
+// request-latency p99 exceeds the limit.
+func TestIncidentP99BreachTrigger(t *testing.T) {
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startService(t, func(c *Config) {
+		c.Telemetry = tel
+		c.HistoryEvery = 10 * time.Millisecond
+		c.IncidentP99MS = 1e-6
+	})
+	if status, out := post(t, s, Request{Workload: "433.milc", Controller: "bo"}); status != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", status, out.Error)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		for _, inc := range s.ops.Recorder.Incidents() {
+			if inc.Trigger == "p99.breach" {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no p99.breach incident after a request over the limit")
+		}
+	}
+}

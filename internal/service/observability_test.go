@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"resemble/internal/telemetry"
 )
@@ -65,31 +66,48 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONView: the JSON dump moved to /metrics.json and still
-// carries the registry snapshot plus service counters.
-func TestMetricsJSONView(t *testing.T) {
+// TestMetricsHistoryHoldsRegistryAndServiceCounters: with /metrics.json
+// gone, the newest /metrics/history sample is the JSON view of both
+// halves — registry instruments (the latency histogram folds to its
+// p99 gauge) and the service's own counters.
+func TestMetricsHistoryHoldsRegistryAndServiceCounters(t *testing.T) {
 	tel, err := telemetry.New(telemetry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := startService(t, func(c *Config) { c.Telemetry = tel })
-	resp, err := http.Get("http://" + s.Addr() + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
+	s := startService(t, func(c *Config) {
+		c.Telemetry = tel
+		c.HistoryEvery = 10 * time.Millisecond
+	})
+	if status, out := post(t, s, Request{Workload: "433.milc", Controller: "bo"}); status != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", status, out.Error)
 	}
-	defer resp.Body.Close()
-	var out struct {
-		Service  *Stats                      `json:"service"`
-		Registry *telemetry.RegistrySnapshot `json:"registry"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("/metrics.json is not JSON: %v", err)
-	}
-	if out.Service == nil {
-		t.Error("/metrics.json missing service counters")
-	}
-	if out.Registry == nil {
-		t.Error("/metrics.json missing registry snapshot")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var hist struct {
+			Samples []telemetry.HistorySample `json:"samples"`
+		}
+		resp, err := http.Get("http://" + s.Addr() + "/metrics/history")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&hist)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(hist.Samples); n > 0 {
+			last := hist.Samples[n-1]
+			_, masked := last.Counters["service.runs.masked"]
+			if last.Counters["service.requests.completed"] >= 1 && masked &&
+				last.Gauges["service.request.latency.ms.p99"] > 0 {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("newest history sample lacks registry or service counters: %+v", hist.Samples)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -18,10 +18,10 @@
 //     that ends several consecutive runs masked is excluded from new
 //     ensembles until its breaker half-opens and a probe run clears
 //     it;
-//   - persistence: service counters are checkpointed periodically and
-//     on drain through internal/checkpoint's retrying atomic writes;
 //   - observability: every decision surfaces through the telemetry
-//     registry and the /metrics endpoint.
+//     registry and the operator surface (telemetry.Surface) the
+//     front door shares: /metrics, /stats, the metrics history and
+//     the incident flight recorder.
 //
 // On the happy path the resilience layer is observation-only: a
 // zero-fault soak produces telemetry window output byte-identical to
@@ -32,7 +32,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -41,7 +40,6 @@ import (
 	"time"
 
 	"resemble/internal/cas"
-	"resemble/internal/checkpoint"
 	"resemble/internal/core"
 	"resemble/internal/prefetch"
 	"resemble/internal/resilience"
@@ -72,14 +70,6 @@ type Config struct {
 	DefaultAccesses int
 	MaxAccesses     int
 
-	// CheckpointPath enables service-state checkpoints (periodic and
-	// on drain); CheckpointEvery is the period (default 15s).
-	CheckpointPath  string
-	CheckpointEvery time.Duration
-	// Resume restores the service counters from CheckpointPath at
-	// startup when the file exists.
-	Resume bool
-
 	// Store, when non-nil, is the durable artifact store: every run
 	// periodically checkpoints into it (keyed by the run-request hash
 	// and access cursor, see RunKey/CheckpointTag) and /v1/run accepts
@@ -99,16 +89,12 @@ type Config struct {
 	// its own Stats. It also enables the observability extras below:
 	// the metrics-history sampler and the incident flight recorder.
 	Telemetry *telemetry.Collector
-	// HistoryEvery is the metrics-history sampling period (default 1s)
-	// and HistorySamples the ring capacity (default 120 — two minutes
-	// of retention). The ring serves /metrics/history and rides along
-	// in incident bundles.
-	HistoryEvery   time.Duration
-	HistorySamples int
-	// IncidentMinInterval rate-limits automatic incident captures
-	// (default 5s); IncidentP99MS, when positive, adds a p99-breach
-	// trigger checked at each history tick against the request-latency
-	// histogram.
+	// HistoryEvery, HistorySamples and IncidentMinInterval configure the
+	// operator surface (see telemetry.SurfaceConfig). IncidentP99MS,
+	// when positive, adds a p99-breach trigger checked at each history
+	// tick against the request-latency histogram.
+	HistoryEvery        time.Duration
+	HistorySamples      int
 	IncidentMinInterval time.Duration
 	IncidentP99MS       float64
 	// SimConfig overrides the simulation configuration (nil = default).
@@ -164,30 +150,18 @@ func (c Config) withDefaults() Config {
 	if c.MaxAccesses <= 0 {
 		c.MaxAccesses = 500000
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 15 * time.Second
-	}
-	if c.HistoryEvery <= 0 {
-		c.HistoryEvery = telemetry.DefaultHistoryEvery
-	}
-	if c.HistorySamples <= 0 {
-		c.HistorySamples = telemetry.DefaultHistorySamples
-	}
 	if c.Store != nil && c.RunCheckpointEvery <= 0 {
 		c.RunCheckpointEvery = 5000
 	}
 	if c.Traces == nil {
 		c.Traces = trace.Shared()
 	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg != nil {
-			c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
+	}
+	if c.Logf == nil {
+		lg := c.Logger
+		c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
 	}
 	return c
 }
@@ -235,7 +209,8 @@ type State int32
 
 // Lifecycle: Starting (constructed, not yet serving), Ready
 // (admitting), Draining (rejecting new work, finishing queued work),
-// Stopped (drained, final checkpoint written).
+// Stopped (work and loops finished; published before the HTTP front
+// shuts down, so a peer refused a connection always reads Stopped).
 const (
 	Starting State = iota
 	Ready
@@ -267,7 +242,6 @@ type Service struct {
 
 	queue    *resilience.Queue[*task]
 	breakers map[string]*resilience.Breaker
-	budget   *resilience.Budget
 
 	ln  net.Listener
 	srv *http.Server
@@ -281,12 +255,10 @@ type Service struct {
 
 	profiles *captureManager // nil when ProfileConfig is disabled
 
-	// history and recorder are non-nil iff telemetry is enabled: the
-	// periodic registry sample ring behind /metrics/history, and the
-	// incident flight recorder behind /debug/incidents. Both are
-	// nil-safe, so trigger sites never branch.
-	history  *telemetry.History
-	recorder *telemetry.FlightRecorder
+	// ops is the operator surface shared with the front door: the
+	// nine debug routes, the metrics-history sampler and the incident
+	// flight recorder (ops.Recorder, nil-safe without telemetry).
+	ops *telemetry.Surface
 
 	// admitMu serializes admission so queue order equals telemetry
 	// commit order.
@@ -295,7 +267,7 @@ type Service struct {
 	commits committer
 
 	workers  sync.WaitGroup // worker goroutines
-	loops    sync.WaitGroup // supervisor, watchdog, checkpoint loop
+	loops    sync.WaitGroup // watchdog, profile monitor
 	httpDone chan struct{}  // closed when the http server goroutine exits
 	stopCh   chan struct{}  // closed on drain to stop the background loops
 
@@ -308,8 +280,6 @@ type Service struct {
 	drainOnce sync.Once
 	drainErr  error
 	drained   chan struct{} // closed when drain completes
-
-	start time.Time // process-health uptime anchor
 
 	// metric handles (nil-safe when telemetry is off)
 	mQueueDepth *telemetry.Gauge
@@ -326,7 +296,6 @@ type serviceCounters struct {
 	admitted, completed, shed, rejected atomic.Uint64
 	failed, timedOut                    atomic.Uint64
 	panics, restarts, wedged            atomic.Uint64
-	ckpWrites, ckpRetries, ckpFailures  atomic.Uint64
 	maskedRuns                          atomic.Uint64
 
 	// Artifact-store run-checkpoint accounting (zero without a Store).
@@ -356,9 +325,6 @@ type Stats struct {
 	Restarts      uint64 `json:"worker_restarts"`
 	Wedged        uint64 `json:"tasks_wedged"`
 	MaskedRuns    uint64 `json:"runs_with_masked_arms"`
-	CkpWrites     uint64 `json:"checkpoint_writes"`
-	CkpRetries    uint64 `json:"checkpoint_retries"`
-	CkpFailures   uint64 `json:"checkpoint_failures"`
 	// Run-checkpoint accounting against the artifact store: durable
 	// snapshots written mid-run, runs warm-started from a snapshot, and
 	// requested resumes that fell back to a scratch run because the
@@ -382,13 +348,11 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		breakers: make(map[string]*resilience.Breaker),
-		budget:   &resilience.Budget{Capacity: 10, Ratio: 0.1},
 		httpDone: make(chan struct{}),
 		stopCh:   make(chan struct{}),
 		drained:  make(chan struct{}),
 		busy:     make([]workerStatus, cfg.Workers),
 		mBreaker: make(map[string]*telemetry.Gauge),
-		start:    time.Now(),
 	}
 	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
 	reg := cfg.Telemetry.Registry()
@@ -403,23 +367,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Profile.enabled() {
 		s.profiles = newCaptureManager(cfg.Profile, cfg.Logf, reg.Counter("service.profile.captures"))
 	}
-	if cfg.Telemetry != nil {
-		s.history = telemetry.NewHistory(cfg.HistorySamples)
-		s.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
-			Process:     "resembled",
-			MinInterval: cfg.IncidentMinInterval,
-			// Incident bundles ride alongside PR 6's profile captures:
-			// attach the retained capture manifests so the bundle points
-			// at the pprof data taken around the same window.
-			Decorate: func(inc *telemetry.Incident) {
-				if s.profiles != nil {
-					if list := s.profiles.List(); len(list) > 0 {
-						inc.Captures = list
-					}
-				}
-			},
-		}, cfg.Telemetry, s.history)
-	}
+	s.ops = telemetry.NewSurface(cfg.Telemetry, s.surfaceConfig())
 	for _, arm := range ArmNames() {
 		arm := arm
 		bcfg := cfg.Breaker
@@ -431,9 +379,9 @@ func New(cfg Config) (*Service, error) {
 			gauge.Set(float64(to))
 			if to == resilience.Open {
 				trips.Inc()
-				s.recorder.Trigger("breaker.trip", arm)
+				s.ops.Recorder.Trigger("breaker.trip", arm)
 			} else {
-				s.recorder.Note("breaker."+to.String(), arm)
+				s.ops.Recorder.Note("breaker."+to.String(), arm)
 			}
 			s.cfg.Logf("service: breaker %s: %s -> %s", arm, from, to)
 			if prev != nil {
@@ -448,11 +396,6 @@ func New(cfg Config) (*Service, error) {
 	})
 	s.commits.parent = cfg.Telemetry
 	s.commits.parked = make(map[uint64]*telemetry.Collector)
-	if cfg.Resume && cfg.CheckpointPath != "" {
-		if err := s.loadCheckpoint(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -482,8 +425,8 @@ func (s *Service) ready() bool {
 
 // updateReady publishes the readiness decision as the service.ready
 // gauge, so /readyz flips are visible as a 1→0→1 transition on
-// /metrics. Refreshed on every queue depth change, on lifecycle
-// transitions, and at scrape time.
+// /metrics. Refreshed on every queue depth change and on lifecycle
+// transitions.
 func (s *Service) updateReady() {
 	v := 0.0
 	if s.ready() {
@@ -492,17 +435,11 @@ func (s *Service) updateReady() {
 	s.mReady.Set(v)
 }
 
-// metricsSnapshot assembles the exposition view: the telemetry
-// registry snapshot (empty when telemetry is off) with the service's
-// own authoritative counters, queue/breaker/retry-budget gauges and
-// the runtime health gauges overlaid. The service counters override
+// overlay writes the service's own authoritative counters and its
+// queue and breaker gauges over the exposition snapshot. They override
 // the registry mirrors of the same names, so /metrics is correct even
-// when instrumentation is disabled or a resume restored the counters.
-func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
-	reg := s.cfg.Telemetry.Registry()
-	telemetry.UpdateRuntimeGauges(reg, s.start)
-	s.updateReady()
-	snap := reg.Snapshot()
+// when instrumentation is disabled.
+func (s *Service) overlay(snap *telemetry.RegistrySnapshot) {
 	st := s.Stats()
 	snap.Counters["service.requests.admitted"] = st.Admitted
 	snap.Counters["service.requests.completed"] = st.Completed
@@ -514,9 +451,6 @@ func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
 	snap.Counters["service.workers.restarts"] = st.Restarts
 	snap.Counters["service.workers.wedged"] = st.Wedged
 	snap.Counters["service.runs.masked"] = st.MaskedRuns
-	snap.Counters["service.checkpoint.writes"] = st.CkpWrites
-	snap.Counters["service.checkpoint.retries"] = st.CkpRetries
-	snap.Counters["service.checkpoint.failures"] = st.CkpFailures
 	snap.Counters["service.run.checkpoint.writes"] = st.RunCkpWrites
 	snap.Counters["service.run.checkpoint.failures"] = st.RunCkpFailures
 	snap.Counters["service.runs.resumed"] = st.Resumes
@@ -529,7 +463,6 @@ func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
 		ready = 1
 	}
 	snap.Gauges["service.ready"] = ready
-	snap.Gauges["service.retry.budget"] = s.budget.Tokens()
 	// Per-phase allocation attribution (empty unless the collector runs
 	// with Config.AllocAttribution): one counter triple per phase,
 	// folded into labeled families by the /metrics relabel rules.
@@ -545,16 +478,6 @@ func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
 		snap.Gauges["service.breaker.state."+name] = float64(b.State())
 		snap.Counters["service.breaker.trips."+name] = b.Trips()
 	}
-	if reg == nil {
-		// No registry to carry the runtime gauges: compute them into a
-		// throwaway registry so the exposition stays complete.
-		tmp := telemetry.NewRegistry()
-		telemetry.UpdateRuntimeGauges(tmp, s.start)
-		for name, v := range tmp.Snapshot().Gauges {
-			snap.Gauges[name] = v
-		}
-	}
-	return snap
 }
 
 // Stats snapshots the service counters.
@@ -573,9 +496,6 @@ func (s *Service) Stats() Stats {
 		Restarts:        s.stats.restarts.Load(),
 		Wedged:          s.stats.wedged.Load(),
 		MaskedRuns:      s.stats.maskedRuns.Load(),
-		CkpWrites:       s.stats.ckpWrites.Load(),
-		CkpRetries:      s.stats.ckpRetries.Load(),
-		CkpFailures:     s.stats.ckpFailures.Load(),
 		RunCkpWrites:    s.stats.runCkpWrites.Load(),
 		RunCkpFailures:  s.stats.runCkpFailures.Load(),
 		Resumes:         s.stats.resumes.Load(),
@@ -601,16 +521,6 @@ func (s *Service) Start() error {
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	s.unused.Install(s.srv)
-	go func() {
-		defer close(s.httpDone)
-		// http.ErrServerClosed is the normal shutdown path.
-		if serr := s.srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			s.cfg.Logf("service: http server: %v", serr)
-		}
-	}()
 	if s.cfg.PprofAddr != "" {
 		addr, psrv, perr := telemetry.ServePprof(s.cfg.PprofAddr)
 		if perr != nil {
@@ -620,20 +530,22 @@ func (s *Service) Start() error {
 		s.pprofAddr, s.pprofSrv = addr, psrv
 		s.cfg.Logf("service: pprof on %s", addr)
 	}
+	s.ln = ln
+	s.ops.Start(s.Addr())
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	s.unused.Install(s.srv)
+	go func() {
+		defer close(s.httpDone)
+		// http.ErrServerClosed is the normal shutdown path.
+		if serr := s.srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
+			s.cfg.Logf("service: http server: %v", serr)
+		}
+	}()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.startWorker(i)
 	}
-	s.recorder.SetProcess("resembled " + s.Addr())
-	if s.history != nil {
-		s.loops.Add(1)
-		go s.historyLoop()
-	}
 	s.loops.Add(1)
 	go s.watchdog()
-	if s.cfg.CheckpointPath != "" {
-		s.loops.Add(1)
-		go s.checkpointLoop()
-	}
 	if s.profiles != nil && s.profiles.cfg.autoEnabled() {
 		s.loops.Add(1)
 		go s.profileLoop()
@@ -645,8 +557,9 @@ func (s *Service) Start() error {
 
 // Drain gracefully stops the service: admission closes (new requests
 // get 503 + Retry-After), queued and in-flight work completes, the
-// background loops stop, a final checkpoint is written, and the HTTP
-// server shuts down. Idempotent; every caller gets the same result.
+// background loops stop, the state turns Stopped, and then the HTTP
+// server shuts down. Idempotent; every caller gets the same result,
+// once Drained has closed.
 func (s *Service) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.state.Store(int32(Draining))
@@ -668,15 +581,12 @@ func (s *Service) Drain(ctx context.Context) error {
 			s.drainErr = fmt.Errorf("service: drain timed out after %s", s.cfg.DrainTimeout)
 		}
 		s.loops.Wait()
+		s.ops.Stop()
 
-		if s.cfg.CheckpointPath != "" {
-			if err := s.writeCheckpoint(ctx); err != nil {
-				s.cfg.Logf("service: final checkpoint: %v", err)
-				if s.drainErr == nil {
-					s.drainErr = err
-				}
-			}
-		}
+		// Stopped goes out before the HTTP shutdown closes the listener:
+		// a peer refused a connection (the front door's ordered drain
+		// reads that as "gone") must never find the state still Draining.
+		s.state.Store(int32(Stopped))
 		if s.srv != nil {
 			if s.aborted.Load() {
 				// Abort already closed the server; Serve has returned.
@@ -697,7 +607,6 @@ func (s *Service) Drain(ctx context.Context) error {
 				s.drainErr = fmt.Errorf("service: pprof shutdown: %w", err)
 			}
 		}
-		s.state.Store(int32(Stopped))
 		s.cfg.Logf("service: stopped (served %d, shed %d, failed %d)",
 			s.stats.completed.Load(), s.stats.shed.Load(), s.stats.failed.Load())
 		close(s.drained)
@@ -721,6 +630,8 @@ func (s *Service) Abort() {
 	s.cfg.Logf("service: ABORT: http front severed (simulated kill)")
 	_ = s.srv.Close()
 }
+
+// Close drains with the configured drain timeout.
 func (s *Service) Close() error {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout+10*time.Second)
 	defer cancel()
@@ -734,127 +645,4 @@ func (s *Service) Drained() <-chan struct{} { return s.drained }
 // is disabled).
 func (s *Service) counter(name string) *telemetry.Counter {
 	return s.cfg.Telemetry.Registry().Counter(name)
-}
-
-// historyLoop samples the metrics exposition into the history ring at
-// HistoryEvery (one immediate sample so even a short-lived service has
-// history) and checks the optional p99-breach incident trigger.
-func (s *Service) historyLoop() {
-	defer s.loops.Done()
-	t := time.NewTicker(s.cfg.HistoryEvery)
-	defer t.Stop()
-	s.history.Record(time.Now(), s.metricsSnapshot())
-	for {
-		select {
-		case <-t.C:
-			s.history.Record(time.Now(), s.metricsSnapshot())
-			if lim := s.cfg.IncidentP99MS; lim > 0 {
-				if p99 := s.hLatency.Snapshot().Summary.P99; p99 > lim {
-					s.recorder.Trigger("p99.breach",
-						fmt.Sprintf("service.request.latency.ms p99 %.1f > %.1f", p99, lim))
-				}
-			}
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
-// checkpointLoop periodically persists the service counters.
-func (s *Service) checkpointLoop() {
-	defer s.loops.Done()
-	t := time.NewTicker(s.cfg.CheckpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CheckpointEvery)
-			if err := s.writeCheckpoint(ctx); err != nil {
-				s.cfg.Logf("service: periodic checkpoint: %v", err)
-			}
-			cancel()
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
-// serviceState is the gob mirror of the persisted counters.
-type serviceState struct {
-	Admitted, Completed, Shed, Rejected uint64
-	Failed, TimedOut                    uint64
-	Panics, Restarts, Wedged            uint64
-	BreakerTrips                        map[string]uint64
-}
-
-// writeCheckpoint persists the counters through the retrying atomic
-// writer; injected checkpoint faults (Chaos.CheckpointFailures) are
-// ridden out by the retry policy and surface in the retry counters.
-func (s *Service) writeCheckpoint(ctx context.Context) error {
-	// Aggregate-only attribution: the periodic persist runs outside any
-	// request span, so charge it as a named phase instead.
-	defer s.cfg.Telemetry.StartAllocPhase("service.checkpoint").End()
-	b := checkpoint.NewBuilder()
-	st := serviceState{
-		Admitted:     s.stats.admitted.Load(),
-		Completed:    s.stats.completed.Load(),
-		Shed:         s.stats.shed.Load(),
-		Rejected:     s.stats.rejected.Load(),
-		Failed:       s.stats.failed.Load(),
-		TimedOut:     s.stats.timedOut.Load(),
-		Panics:       s.stats.panics.Load(),
-		Restarts:     s.stats.restarts.Load(),
-		Wedged:       s.stats.wedged.Load(),
-		BreakerTrips: map[string]uint64{},
-	}
-	for name, br := range s.breakers {
-		st.BreakerTrips[name] = br.Trips()
-	}
-	if err := b.Add("service", func(w io.Writer) error { return writeGob(w, st) }); err != nil {
-		return err
-	}
-	pol := checkpoint.DefaultWriteRetry()
-	pol.Budget = s.budget
-	pol.OnRetry = func(attempt int, d time.Duration, err error) {
-		s.stats.ckpRetries.Add(1)
-		s.counter("service.checkpoint.retries").Inc()
-		s.cfg.Logf("service: checkpoint write attempt %d failed (%v); retrying in %s", attempt, err, d)
-	}
-	var wrap func(io.Writer) io.Writer
-	if s.cfg.Chaos != nil {
-		wrap = s.cfg.Chaos.wrapCheckpointWriter
-	}
-	err := b.WriteFileRetry(ctx, s.cfg.CheckpointPath, pol, wrap)
-	if err != nil {
-		s.stats.ckpFailures.Add(1)
-		s.counter("service.checkpoint.failures").Inc()
-		return err
-	}
-	s.stats.ckpWrites.Add(1)
-	s.counter("service.checkpoint.writes").Inc()
-	return nil
-}
-
-// loadCheckpoint restores persisted counters at startup (Resume).
-func (s *Service) loadCheckpoint() error {
-	f, err := checkpoint.ReadFile(s.cfg.CheckpointPath)
-	if err != nil {
-		return fmt.Errorf("service: resume: %w", err)
-	}
-	var st serviceState
-	if err := f.Load("service", func(r io.Reader) error { return readGob(r, &st) }); err != nil {
-		return fmt.Errorf("service: resume: %w", err)
-	}
-	s.stats.admitted.Store(st.Admitted)
-	s.stats.completed.Store(st.Completed)
-	s.stats.shed.Store(st.Shed)
-	s.stats.rejected.Store(st.Rejected)
-	s.stats.failed.Store(st.Failed)
-	s.stats.timedOut.Store(st.TimedOut)
-	s.stats.panics.Store(st.Panics)
-	s.stats.restarts.Store(st.Restarts)
-	s.stats.wedged.Store(st.Wedged)
-	// Breakers restart closed: the masking signal re-learns the state
-	// of the world faster than a stale open/half-open snapshot would.
-	return nil
 }

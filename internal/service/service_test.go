@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"resemble/internal/checkpoint"
 	"resemble/internal/sim"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
@@ -230,11 +229,9 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestServiceDrain: drain is idempotent, flips state, rejects new work
-// with 503 + Retry-After, and writes a final valid checkpoint.
+// TestServiceDrain: drain is idempotent and ends Stopped.
 func TestServiceDrain(t *testing.T) {
-	ckp := t.TempDir() + "/service.ckpt"
-	s := startService(t, func(c *Config) { c.CheckpointPath = ckp })
+	s := startService(t, nil)
 	if status, _ := post(t, s, Request{Workload: "433.milc", Controller: "bo", Accesses: 2000}); status != http.StatusOK {
 		t.Fatalf("warmup request: status %d", status)
 	}
@@ -246,24 +243,6 @@ func TestServiceDrain(t *testing.T) {
 	}
 	if s.State() != Stopped {
 		t.Fatalf("state = %v, want stopped", s.State())
-	}
-
-	f, err := checkpoint.ReadFile(ckp)
-	if err != nil {
-		t.Fatalf("final checkpoint: %v", err)
-	}
-	if !f.Has("service") {
-		t.Fatal("final checkpoint missing the service section")
-	}
-
-	// A fresh service resuming from the final checkpoint carries the
-	// lifetime counters forward.
-	s2, err := New(Config{CheckpointPath: ckp, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.Stats().Completed; got != 1 {
-		t.Fatalf("resumed completed = %d, want 1", got)
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *Service) workerLoop(i, crashes int) {
 		s.counter("service.workers.restarts").Inc()
 		delay := restartBackoff.Delay(crashes + 1)
 		s.cfg.Logf("service: worker %d crashed (%v); restarting in %s", i, r, delay)
-		s.recorder.Trigger("panic.restart", fmt.Sprintf("worker %d: %v", i, r))
+		s.ops.Recorder.Trigger("panic.restart", fmt.Sprintf("worker %d: %v", i, r))
 		go func() {
 			t := time.NewTimer(delay)
 			defer t.Stop()
@@ -154,7 +154,7 @@ func (s *Service) watchdog() {
 					s.counter("service.workers.wedged").Inc()
 					label, _ := s.busy[i].label.Load().(string)
 					s.cfg.Logf("service: worker %d wedged on %q for > %s", i, label, limit)
-					s.recorder.Note("wedge", fmt.Sprintf("worker %d on %q", i, label))
+					s.ops.Recorder.Note("wedge", fmt.Sprintf("worker %d on %q", i, label))
 				}
 			}
 		case <-s.stopCh:
@@ -545,20 +545,16 @@ func (s *Service) buildSourceFrom(req Request, arms armSet) (src sim.Source, pro
 
 // controllerConfig mirrors the batch experiment configuration
 // (experiments.Options.controllerConfig) and layers the accuracy
-// masking on at the robustness fault-matrix operating point, so the
-// breakers have a degradation signal to key off.
+// masking on at the robustness fault-matrix operating point
+// (core.Config.WithMasking), so the breakers have a degradation signal
+// to key off.
 func (s *Service) controllerConfig(req Request) core.Config {
 	if s.cfg.ControllerConfig != nil {
 		return s.cfg.ControllerConfig(req)
 	}
-	cfg := core.DefaultConfig()
+	cfg := core.DefaultConfig().WithMasking()
 	cfg.Seed = 1 + req.Seed
 	cfg.FixedFrac = req.FixedFrac
-	cfg.MaskFloor = 0.2
-	cfg.MaskWindow = 1024
-	cfg.MaskBadWindows = 2
-	cfg.MaskMinSamples = 16
-	cfg.MaskReprobe = 16 * 1024
 	return cfg
 }
 

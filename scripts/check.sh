@@ -56,9 +56,11 @@ go test -race ./internal/telemetry/... ./internal/sim/... ./internal/multicore/.
 echo "== flight recorder + metrics history + trace stitching (race-enabled quick gate) =="
 # The incident/tracing layer (DESIGN.md §15): concurrent ring writes,
 # history sampling, cross-process span stitching, and the jobs=1 vs
-# jobs=N stitched span-tree equality contract.
+# jobs=N stitched span-tree equality contract. RouteContract runs the
+# shared operator surface's routes against both daemons, so a route
+# one daemon breaks fails here by name.
 go test -race -count 1 -run 'FlightRecorder|MetricsHistory|AnchorSpans|AdoptSpans|SpanRefHeader' ./internal/telemetry/
-go test -race -count 1 -run 'Stitched|Incident|FleetBundle|HedgeOutcome|MetricsHistory' ./internal/cluster/
+go test -race -count 1 -run 'Stitched|Incident|FleetBundle|HedgeOutcome|MetricsHistory|RouteContract' ./internal/cluster/
 go test -race -count 1 -run 'Incident|MetricsHistory|InboundTraceContext' ./internal/service/
 
 echo "== go test -race (parallel engine, trace cache) =="
