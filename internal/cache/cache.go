@@ -314,6 +314,16 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
+// Reset returns the cache to the state New leaves it in, keeping its
+// ways: every line invalid, the clock and statistics zero, no miss
+// memo.
+func (c *Cache) Reset() {
+	for _, set := range c.sets {
+		clear(set)
+	}
+	*c = Cache{cfg: c.cfg, sets: c.sets}
+}
+
 // Flush invalidates every line and leaves statistics untouched.
 func (c *Cache) Flush() {
 	c.missClock = 0 // ways changed without a clock bump; drop the memo

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -168,6 +169,46 @@ func TestResetStats(t *testing.T) {
 	c.ResetStats()
 	if s := c.Stats(); s.Accesses != 0 || s.Misses != 0 {
 		t.Errorf("stats not reset: %+v", s)
+	}
+}
+
+// TestResetMatchesNew: a used cache that is Reset (mid-memo, after a
+// missing Access) saves to the same bytes as a new one and then
+// behaves the same under the same operations.
+func TestResetMatchesNew(t *testing.T) {
+	ops := func(c *Cache, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			line := uint64(rng.Intn(256))
+			switch rng.Intn(3) {
+			case 0:
+				c.Access(line)
+			case 1:
+				c.Insert(line, false)
+			case 2:
+				c.Insert(line, true)
+			}
+		}
+	}
+	save := func(c *Cache) []byte {
+		var buf bytes.Buffer
+		if err := c.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	used := small()
+	ops(used, 1)
+	used.Access(1 << 20) // leaves a miss memo behind
+	used.Reset()
+	fresh := small()
+	if !bytes.Equal(save(used), save(fresh)) {
+		t.Fatal("reset cache differs from a new one")
+	}
+	ops(used, 2)
+	ops(fresh, 2)
+	if !bytes.Equal(save(used), save(fresh)) || used.Stats() != fresh.Stats() {
+		t.Fatal("reset cache diverges from a new one under the same operations")
 	}
 }
 

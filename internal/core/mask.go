@@ -42,15 +42,26 @@ type armMask struct {
 }
 
 func newArmMask(cfg Config, numActions int) armMask {
-	m := armMask{
+	var m armMask
+	m.reset(cfg, numActions)
+	return m
+}
+
+// reset puts m in the state newArmMask(cfg, numActions) builds,
+// reusing its slices; the instrument handles are dropped, as on a new
+// mask.
+func (m *armMask) reset(cfg Config, numActions int) {
+	old := *m
+	*m = armMask{
 		floor:      cfg.MaskFloor,
 		window:     uint64(cfg.MaskWindow),
 		badLimit:   cfg.MaskBadWindows,
 		minSamples: uint64(cfg.MaskMinSamples),
 		reprobe:    uint64(cfg.MaskReprobe),
+		allowedBuf: old.allowedBuf[:0],
 	}
 	if m.floor <= 0 {
-		return m
+		return
 	}
 	if m.window == 0 {
 		m.window = 2048
@@ -65,12 +76,21 @@ func newArmMask(cfg Config, numActions int) armMask {
 		m.reprobe = 8 * m.window
 	}
 	arms := numActions - 1
-	m.lastUseful = make([]uint64, arms)
-	m.lastUseless = make([]uint64, arms)
-	m.badStreak = make([]int, arms)
-	m.masked = make([]bool, arms)
-	m.maskedAt = make([]uint64, arms)
-	return m
+	m.lastUseful = zeroed(old.lastUseful, arms)
+	m.lastUseless = zeroed(old.lastUseless, arms)
+	m.badStreak = zeroed(old.badStreak, arms)
+	m.masked = zeroed(old.masked, arms)
+	m.maskedAt = zeroed(old.maskedAt, arms)
+}
+
+// zeroed returns n zero values, in s's array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (m *armMask) enabled() bool { return m.floor > 0 }

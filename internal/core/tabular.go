@@ -141,28 +141,50 @@ func NewTabularController(cfg Config, prefetchers []prefetch.Prefetcher) *Tabula
 	return c
 }
 
+// initModel puts the learned state in the state NewTabularController
+// leaves it in, reusing the buffers of an earlier run: the RNG is
+// re-seeded in place and the token table, reward tracker and pending
+// ring are cleared rather than rebuilt.
 func (c *TabularController) initModel() {
-	c.rngSrc = checkpoint.NewRandSource(c.cfg.Seed)
-	c.rng = rand.New(c.rngSrc)
 	c.na = c.NumActions()
-	c.tokens = flatmap.New(256)
+	if c.rngSrc == nil {
+		c.rngSrc = checkpoint.NewRandSource(c.cfg.Seed)
+		c.rng = rand.New(c.rngSrc)
+		c.tokens = flatmap.New(256)
+		c.tracker = NewRewardTracker(c.cfg.Window)
+		c.pending = newPendingRing(c.cfg.Window)
+	} else {
+		c.rngSrc.Seed(c.cfg.Seed)
+		c.tokens.Clear()
+		c.tracker.Reset()
+		clear(c.pending)
+	}
 	c.keys = c.keys[:0]
 	c.q = c.q[:0]
-	c.tracker = NewRewardTracker(c.cfg.Window)
-	c.pending = newPendingRing(c.cfg.Window)
 	c.step = 0
 	c.prevSeq = -1
 	c.rewards = c.rewards[:0]
 	c.acts = c.acts[:0]
 	c.rewardSum = 0
-	c.actionCounts = make([]uint64, c.NumActions())
-	c.armIssued = make([]uint64, c.NumActions())
-	c.armUseful = make([]uint64, c.NumActions())
-	c.armUseless = make([]uint64, c.NumActions())
+	c.actionCounts = zeroed(c.actionCounts, c.na)
+	c.armIssued = zeroed(c.armIssued, c.na)
+	c.armUseful = zeroed(c.armUseful, c.na)
+	c.armUseless = zeroed(c.armUseless, c.na)
 	c.qWindow = c.qWindow[:0]
-	c.mask = newArmMask(c.cfg, c.NumActions())
+	c.mask.reset(c.cfg, c.na)
 	c.explainPending = nil
 	c.explainNames = nil
+}
+
+// Restart returns the controller to the state NewTabularController
+// gives it with Config.Seed = seed, detached from telemetry and
+// keeping its buffers. Unlike Reset it leaves the prefetchers alone:
+// it is for a holder that resets those itself (a service worker, whose
+// arms serve every request).
+func (c *TabularController) Restart(seed int64) {
+	c.cfg.Seed = seed
+	c.tel, c.hTD, c.cUpdates, c.qPending = nil, nil, nil, false
+	c.initModel()
 }
 
 // MaskedArms reports how many input prefetchers are currently masked

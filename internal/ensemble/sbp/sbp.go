@@ -99,6 +99,14 @@ func (s *sandbox) accuracy() float64 {
 
 func (s *sandbox) resetPeriod() { s.issues, s.hits = 0, 0 }
 
+// reset empties the sandbox in place, as newSandbox(capacity) leaves
+// it.
+func (s *sandbox) reset(capacity int) {
+	s.buf.Reset(2 * capacity)
+	s.set.Clear()
+	*s = sandbox{buf: s.buf, set: s.set}
+}
+
 // Controller is the SBP(E) ensemble controller; it implements
 // sim.Source.
 type Controller struct {
@@ -166,16 +174,26 @@ func New(cfg Config, prefetchers []prefetch.Prefetcher) *Controller {
 	return c
 }
 
+// initState puts the selection state in the state New leaves it in,
+// reusing the sandboxes and counters of an earlier run.
 func (c *Controller) initState() {
-	c.boxes = make([]*sandbox, len(c.prefetchers))
-	for i := range c.boxes {
-		c.boxes[i] = newSandbox(c.cfg.BufferSize)
+	if c.boxes == nil {
+		c.boxes = make([]*sandbox, len(c.prefetchers))
+		for i := range c.boxes {
+			c.boxes[i] = newSandbox(c.cfg.BufferSize)
+		}
+		c.selCounts = make([]uint64, len(c.prefetchers)+1)
+		c.issuedPerP = make([]uint64, len(c.prefetchers)+1)
+	} else {
+		for _, box := range c.boxes {
+			box.reset(c.cfg.BufferSize)
+		}
+		clear(c.selCounts)
+		clear(c.issuedPerP)
 	}
 	c.active = -1
 	c.accessNum = 0
 	c.selected = c.selected[:0]
-	c.selCounts = make([]uint64, len(c.prefetchers)+1)
-	c.issuedPerP = make([]uint64, len(c.prefetchers)+1)
 }
 
 // Name implements sim.Source.
@@ -186,6 +204,15 @@ func (c *Controller) Reset() {
 	for _, p := range c.prefetchers {
 		p.Reset()
 	}
+	c.initState()
+}
+
+// Restart returns the controller to the state New gives it, detached
+// from telemetry and keeping its buffers. Unlike Reset it leaves the
+// prefetchers alone: it is for a holder that resets those itself (a
+// service worker, whose arms serve every request).
+func (c *Controller) Restart() {
+	c.tel, c.cReselects, c.cSwitchover = nil, nil, nil
 	c.initState()
 }
 

@@ -183,6 +183,18 @@ func (m *Map) Clear() {
 	m.n = 0
 }
 
+// Reset empties the map and sizes its table as New(capacity) would,
+// reusing the table when it already has that size. Iteration order
+// depends on the table size, so a map that grew and is then Reset
+// ranges exactly like a new one, where a Cleared one need not.
+func (m *Map) Reset(capacity int) {
+	if slots := slotsFor(capacity); slots != len(m.slots) {
+		m.init(slots)
+		return
+	}
+	m.Clear()
+}
+
 // Range calls f for each entry in slot order (deterministic for a
 // given operation history) until f returns false. The map must not be
 // mutated during the walk.

@@ -125,6 +125,60 @@ func TestClearKeepsCapacity(t *testing.T) {
 	}
 }
 
+// TestResetRangesLikeNew: iteration order depends on the table size,
+// so a map whose table differs from New(64)'s (smaller, as a loaded
+// snapshot sizes it, or grown) ranges like a new map once Reset(64),
+// where a Cleared one need not.
+func TestResetRangesLikeNew(t *testing.T) {
+	small, large := New(0), New(64)
+	// Two keys that share a home slot in the small table and sit in the
+	// opposite order of their homes in the large one: inserted a first,
+	// the small table ranges a, b and the large one b, a.
+	var a, b uint64
+search:
+	for a = 1; ; a++ {
+		for b = a + 1; b < a+64; b++ {
+			if small.home(b) == small.home(a) && large.home(b) < large.home(a) {
+				break search
+			}
+		}
+	}
+	order := func(m *Map) []uint64 {
+		m.Set(a, 1)
+		m.Set(b, 2)
+		var keys []uint64
+		m.Range(func(k, _ uint64) bool { keys = append(keys, k); return true })
+		return keys
+	}
+	want := order(New(64))
+	cleared := New(0)
+	cleared.Clear()
+	if got := order(cleared); equal(got, want) {
+		t.Fatalf("a cleared small map ranges %v like a new one; the keys do not test Reset", got)
+	}
+	grown := New(64)
+	for i := uint64(0); i < 1000; i++ {
+		grown.Set(i+1<<32, i)
+	}
+	for _, m := range []*Map{New(0), grown} {
+		m.Set(5, 5)
+		m.Reset(64)
+		if m.Len() != 0 || m.Contains(5) {
+			t.Fatal("Reset left entries behind")
+		}
+		if got := order(m); !equal(got, want) {
+			t.Fatalf("Reset map ranges %v, new map %v", got, want)
+		}
+	}
+	same := New(64)
+	slots := &same.slots[0]
+	same.Set(1, 1)
+	same.Reset(64)
+	if &same.slots[0] != slots || same.Contains(1) {
+		t.Fatal("Reset at the new size must clear the table in place")
+	}
+}
+
 func TestRangeVisitsAll(t *testing.T) {
 	m := New(8)
 	want := map[uint64]uint64{1: 10, 2: 20, 3: 30}

@@ -22,8 +22,7 @@ var (
 // beyond the capacity are shed (newest-arrival rejection: everyone
 // already admitted keeps their place, the latecomer is turned away
 // with ErrShed), Pop blocks until an item, close-and-drained, or
-// context cancellation. An optional depth hook reports occupancy after
-// every transition, which the service binds to a telemetry gauge.
+// context cancellation.
 type Queue[T any] struct {
 	mu     sync.Mutex
 	ch     chan T
@@ -31,16 +30,14 @@ type Queue[T any] struct {
 
 	shed    atomic.Uint64
 	offered atomic.Uint64
-	onDepth func(depth, capacity int)
 }
 
 // NewQueue builds a queue holding at most capacity items (minimum 1).
-// onDepth, when non-nil, observes the post-transition depth.
-func NewQueue[T any](capacity int, onDepth func(depth, capacity int)) *Queue[T] {
+func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue[T]{ch: make(chan T, capacity), onDepth: onDepth}
+	return &Queue[T]{ch: make(chan T, capacity)}
 }
 
 // Offer admits v or fails fast: ErrClosed when draining, ErrShed when
@@ -54,7 +51,6 @@ func (q *Queue[T]) Offer(v T) error {
 	select {
 	case q.ch <- v:
 		q.offered.Add(1)
-		q.depthChanged()
 		return nil
 	default:
 		q.shed.Add(1)
@@ -70,11 +66,6 @@ func (q *Queue[T]) Pop(ctx context.Context) (v T, ok bool) {
 	}
 	select {
 	case v, ok = <-q.ch:
-		if ok {
-			q.mu.Lock()
-			q.depthChanged()
-			q.mu.Unlock()
-		}
 		return v, ok
 	case <-ctx.Done():
 		return v, false
@@ -108,12 +99,3 @@ func (q *Queue[T]) Shed() uint64 { return q.shed.Load() }
 
 // Offered returns how many offers were admitted.
 func (q *Queue[T]) Offered() uint64 { return q.offered.Load() }
-
-// depthChanged invokes the depth hook; the caller holds q.mu (Offer,
-// Close) or the queue only shrank (Pop), so the reported depth is at
-// worst momentarily stale, which is fine for a gauge.
-func (q *Queue[T]) depthChanged() {
-	if q.onDepth != nil {
-		q.onDepth(len(q.ch), cap(q.ch))
-	}
-}

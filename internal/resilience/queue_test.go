@@ -14,7 +14,7 @@ import (
 // pops the admitted items FIFO — a shed never displaces an item that
 // was already queued.
 func TestQueueShedOrdering(t *testing.T) {
-	q := NewQueue[int](3, nil)
+	q := NewQueue[int](3)
 	var shed []int
 	for i := 0; i < 6; i++ {
 		if err := q.Offer(i); err != nil {
@@ -49,7 +49,7 @@ func TestQueueShedOrdering(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue[string](4, nil)
+	q := NewQueue[string](4)
 	q.Offer("a")
 	q.Offer("b")
 	q.Close()
@@ -69,7 +69,7 @@ func TestQueueCloseDrains(t *testing.T) {
 }
 
 func TestQueuePopContext(t *testing.T) {
-	q := NewQueue[int](1, nil)
+	q := NewQueue[int](1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -81,42 +81,12 @@ func TestQueuePopContext(t *testing.T) {
 	}
 }
 
-// TestQueueDepthGauge checks the depth hook fires on admissions and
-// removals with the post-transition depth.
-func TestQueueDepthGauge(t *testing.T) {
-	var mu sync.Mutex
-	var depths []int
-	q := NewQueue[int](2, func(depth, capacity int) {
-		if capacity != 2 {
-			t.Errorf("capacity = %d, want 2", capacity)
-		}
-		mu.Lock()
-		depths = append(depths, depth)
-		mu.Unlock()
-	})
-	q.Offer(1)
-	q.Offer(2)
-	q.Pop(context.Background())
-	q.Pop(context.Background())
-	mu.Lock()
-	defer mu.Unlock()
-	want := []int{1, 2, 1, 0}
-	if len(depths) != len(want) {
-		t.Fatalf("depths = %v, want %v", depths, want)
-	}
-	for i := range want {
-		if depths[i] != want[i] {
-			t.Fatalf("depths = %v, want %v", depths, want)
-		}
-	}
-}
-
 // TestQueueConcurrent hammers admission and removal from many
 // goroutines (run under -race by scripts/check.sh): every admitted
 // item is popped exactly once and the accounting adds up.
 func TestQueueConcurrent(t *testing.T) {
 	const producers, perProducer = 8, 200
-	q := NewQueue[int](16, nil)
+	q := NewQueue[int](16)
 	var admitted, popped, shed atomic.Uint64
 	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(context.Background())

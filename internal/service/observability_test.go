@@ -3,6 +3,8 @@ package service
 import (
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -108,6 +110,47 @@ func TestMetricsHistoryHoldsRegistryAndServiceCounters(t *testing.T) {
 			t.Fatalf("newest history sample lacks registry or service counters: %+v", hist.Samples)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMetricsJSONCarriesOverlay: the metrics.json a telemetry
+// directory gets at Close holds the service's own counters and its
+// queue and readiness gauges, as /metrics does, though nothing mirrors
+// them into the registry.
+func TestMetricsJSONCarriesOverlay(t *testing.T) {
+	dir := t.TempDir()
+	tel, err := telemetry.New(telemetry.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startService(t, func(c *Config) { c.Telemetry = tel })
+	if status, out := post(t, s, Request{Workload: "433.milc", Controller: "bo"}); status != http.StatusOK {
+		t.Fatalf("run: status %d (%s)", status, out.Error)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap telemetry.RegistrySnapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["service.requests.completed"]; got != 1 {
+		t.Errorf("service.requests.completed = %d, want 1", got)
+	}
+	for _, g := range []string{"service.queue.depth", "service.queue.capacity", "service.ready", "service.state"} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Errorf("metrics.json lacks gauge %s: %v", g, snap.Gauges)
+		}
+	}
+	if got := snap.Gauges["service.state"]; got != float64(Stopped) {
+		t.Errorf("service.state = %v, want %d (stopped)", got, Stopped)
 	}
 }
 

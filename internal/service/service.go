@@ -41,6 +41,7 @@ import (
 
 	"resemble/internal/cas"
 	"resemble/internal/core"
+	"resemble/internal/ensemble/sbp"
 	"resemble/internal/prefetch"
 	"resemble/internal/resilience"
 	"resemble/internal/sim"
@@ -170,25 +171,97 @@ func (c Config) withDefaults() Config {
 // in controller arm order — the breaker set is keyed by these names.
 func ArmNames() []string { return sources.Arms() }
 
-// armSet is one worker's ensemble arms, keyed by arm name. The worker
-// builds an arm on first use and resets it in place for every later
-// request, so serving does not rebuild the arms' tables per request.
-// Only its worker touches it, one request at a time; a worker that
-// panics drops it, and the replacement loop starts with an empty set.
-// The nil set builds fresh arms (the BuildSource path).
-type armSet map[string]prefetch.Prefetcher
+// armSet is one worker's ensemble arms, keyed by arm name, and the
+// resemble-t and sbp-e controllers it holds over them. The worker
+// builds an arm or controller on first use and resets it in place for
+// every later request, so serving does not rebuild their tables per
+// request. Only its worker touches it, one request at a time; a worker
+// that panics drops it, and the replacement loop starts with an empty
+// set. The nil set builds fresh arms and controllers (the BuildSource
+// path).
+type armSet struct {
+	arms  map[string]prefetch.Prefetcher
+	ctrls map[string]heldController
+}
+
+// heldController is a controller a worker holds over its arms, with
+// the configuration it was built or last restarted under and the
+// restart that returns it to its just-constructed state under a seed,
+// leaving the arms alone.
+type heldController struct {
+	src     sim.Source
+	cfg     core.Config
+	restart func(seed int64)
+}
+
+// hold wraps src for holding, reporting whether it is a controller a
+// worker can restart: resemble-t or sbp-e.
+func hold(src sim.Source, cfg core.Config) (heldController, bool) {
+	switch c := src.(type) {
+	case *core.TabularController:
+		return heldController{src: src, cfg: cfg, restart: c.Restart}, true
+	case *sbp.Controller:
+		return heldController{src: src, cfg: cfg, restart: func(int64) { c.Restart() }}, true
+	}
+	return heldController{}, false
+}
+
+func newArmSet() *armSet {
+	return &armSet{arms: map[string]prefetch.Prefetcher{}, ctrls: map[string]heldController{}}
+}
 
 // arm returns the named arm in its just-constructed state.
-func (a armSet) arm(name string) (prefetch.Prefetcher, error) {
-	if p := a[name]; p != nil {
+func (a *armSet) arm(name string) (prefetch.Prefetcher, error) {
+	if a == nil {
+		return sources.New(name)
+	}
+	if p := a.arms[name]; p != nil {
 		p.Reset()
 		return p, nil
 	}
 	p, err := sources.New(name)
-	if err == nil && a != nil {
-		a[name] = p
+	if err == nil {
+		a.arms[name] = p
 	}
 	return p, err
+}
+
+// controller returns the named ensemble controller over inputs under
+// cfg in its just-constructed state. A held controller is restarted
+// only when inputs are the set's own arms in arm order (every breaker
+// admits and no chaos wraps them), which arm has already reset, and
+// cfg differs from its own at most in the seed; otherwise build makes
+// a new one, which the set holds when it can restart it later.
+func (a *armSet) controller(name string, cfg core.Config, inputs []prefetch.Prefetcher, build func() sim.Source) sim.Source {
+	if a == nil || !a.holds(inputs) {
+		return build()
+	}
+	if h, ok := a.ctrls[name]; ok {
+		h.cfg.Seed = cfg.Seed
+		if h.cfg == cfg {
+			h.restart(cfg.Seed)
+			return h.src
+		}
+	}
+	src := build()
+	if h, ok := hold(src, cfg); ok {
+		a.ctrls[name] = h
+	}
+	return src
+}
+
+// holds reports whether inputs are exactly the set's arms in arm order.
+func (a *armSet) holds(inputs []prefetch.Prefetcher) bool {
+	names := ArmNames()
+	if len(inputs) != len(names) {
+		return false
+	}
+	for i, name := range names {
+		if inputs[i] != a.arms[name] {
+			return false
+		}
+	}
+	return true
 }
 
 // Controllers lists the accepted request controllers: the ensemble
@@ -282,9 +355,7 @@ type Service struct {
 	drained   chan struct{} // closed when drain completes
 
 	// metric handles (nil-safe when telemetry is off)
-	mQueueDepth *telemetry.Gauge
-	mReady      *telemetry.Gauge
-	mBreaker    map[string]*telemetry.Gauge
+	mBreaker map[string]*telemetry.Gauge
 	// hLatency tracks end-to-end request latency in milliseconds; the
 	// capture manager's p99 auto-trigger reads it.
 	hLatency *telemetry.Histogram
@@ -356,8 +427,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
 	reg := cfg.Telemetry.Registry()
-	s.mQueueDepth = reg.Gauge("service.queue.depth")
-	s.mReady = reg.Gauge("service.ready")
 	s.hLatency = reg.Histogram("service.request.latency.ms")
 	if s.hLatency == nil {
 		// No telemetry registry: keep a standalone histogram so the
@@ -390,10 +459,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		s.breakers[arm] = resilience.NewBreaker(bcfg)
 	}
-	s.queue = resilience.NewQueue[*task](cfg.QueueDepth, func(depth, capacity int) {
-		s.mQueueDepth.Set(float64(depth))
-		s.updateReady()
-	})
+	s.queue = resilience.NewQueue[*task](cfg.QueueDepth)
 	s.commits.parent = cfg.Telemetry
 	s.commits.parked = make(map[uint64]*telemetry.Collector)
 	return s, nil
@@ -421,18 +487,6 @@ func (s *Service) Breaker(arm string) *resilience.Breaker { return s.breakers[ar
 // ready mirrors the /readyz decision: admitting and not saturated.
 func (s *Service) ready() bool {
 	return s.State() == Ready && !s.queue.Saturated()
-}
-
-// updateReady publishes the readiness decision as the service.ready
-// gauge, so /readyz flips are visible as a 1→0→1 transition on
-// /metrics. Refreshed on every queue depth change and on lifecycle
-// transitions.
-func (s *Service) updateReady() {
-	v := 0.0
-	if s.ready() {
-		v = 1
-	}
-	s.mReady.Set(v)
 }
 
 // overlay writes the service's own authoritative counters and its
@@ -516,7 +570,6 @@ func (s *Service) Start() error {
 	if !s.state.CompareAndSwap(int32(Starting), int32(Ready)) {
 		return fmt.Errorf("service: already started")
 	}
-	s.updateReady()
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -563,7 +616,6 @@ func (s *Service) Start() error {
 func (s *Service) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.state.Store(int32(Draining))
-		s.updateReady()
 		s.cfg.Logf("service: draining (queue depth %d)", s.queue.Depth())
 		s.queue.Close()
 		close(s.stopCh)

@@ -115,7 +115,7 @@ func (s *Service) workerLoop(i, crashes int) {
 			s.workerLoop(i, crashes+1)
 		}()
 	}()
-	arms := armSet{}
+	arms := newArmSet()
 	for {
 		t, ok := s.queue.Pop(context.Background())
 		if !ok {
@@ -166,7 +166,7 @@ func (s *Service) watchdog() {
 // serve runs one admitted task end to end on the worker's arms.
 // Panics are answered as 500 and then re-raised so the supervision
 // layer restarts the worker.
-func (s *Service) serve(i int, t *task, arms armSet) {
+func (s *Service) serve(i int, t *task, arms *armSet) {
 	began := time.Now()
 	wsp := t.span.Child("worker.serve")
 	defer func() {
@@ -248,7 +248,7 @@ func (s *Service) timeout(t *task) {
 // worker's arms and runs it on an isolated telemetry child, reporting
 // arm health to the breakers. The returned status accompanies a
 // non-nil error.
-func (s *Service) simulate(t *task, arms armSet) (Response, int, error) {
+func (s *Service) simulate(t *task, arms *armSet) (Response, int, error) {
 	if s.cfg.Chaos.shouldPanic() {
 		panic("chaos: injected worker panic")
 	}
@@ -496,9 +496,10 @@ func (s *Service) buildSource(req Request) (src sim.Source, probe maskProbe, arm
 // returned armIdx maps the built source's arm positions back to arm
 // names so the end-of-run masking report reaches the right breaker;
 // probe is nil for sources without a masking signal.
-func (s *Service) buildSourceFrom(req Request, arms armSet) (src sim.Source, probe maskProbe, armIdx []string, excluded []string, err error) {
+func (s *Service) buildSourceFrom(req Request, arms *armSet) (src sim.Source, probe maskProbe, armIdx []string, excluded []string, err error) {
+	cfg := s.controllerConfig(req)
 	src, err = sources.Build(req.Controller, sources.Env{
-		Config: s.controllerConfig(req),
+		Config: cfg,
 		// A solo arm runs only while its breaker admits it.
 		Arm: func(name string) (prefetch.Prefetcher, error) {
 			b := s.breakers[name]
@@ -534,6 +535,9 @@ func (s *Service) buildSourceFrom(req Request, arms armSet) (src sim.Source, pro
 				return nil, errUnavailable{"all ensemble arms' circuit breakers are open"}
 			}
 			return inputs, nil
+		},
+		Ensemble: func(name string, inputs []prefetch.Prefetcher, build func() sim.Source) sim.Source {
+			return arms.controller(name, cfg, inputs, build)
 		},
 	})
 	if err != nil {

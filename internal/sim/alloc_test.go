@@ -63,11 +63,13 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBaselineRunAllocBudget bounds what a whole run allocates: the
-// Simulator, its caches and queues, and the Result around a step loop
-// that allocates nothing. A baseline run over a 20k-access 433.milc trace makes about
-// 12 allocations once the trace's filter exists; 32 leaves room for
-// drift, while a per-record allocation would cost thousands.
+// TestBaselineRunAllocBudget bounds what a whole run allocates around
+// a step loop that allocates nothing: the Result, and the Simulator
+// with its caches and queues when the pool has none to lend. A
+// baseline run over a 20k-access 433.milc trace makes 3 allocations
+// once the trace's filter exists and the pool holds a simulator, about
+// 12 when it builds one; 32 leaves room for drift, while a per-record
+// allocation would cost thousands.
 func TestBaselineRunAllocBudget(t *testing.T) {
 	const budget = 32
 	tr := lookupTrace(t, "433.milc", 20000)

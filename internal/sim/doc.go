@@ -37,8 +37,10 @@
 //	base, _ := r.With(sim.WithBaseline()).Run(tr, nil)
 //	res, err := r.Run(tr, controller)
 //
-// A Runner is immutable and safe for concurrent use: each Run builds a
-// fresh Simulator, so parallel harnesses share one Runner prototype
+// A Runner is immutable and safe for concurrent use: each Run takes a
+// Simulator of its own, reset to the state New leaves it in, from a
+// pool shared by every Runner, so parallel harnesses share one Runner
+// prototype
 // and derive per-task variants with With (typically rebinding
 // WithTelemetry to a per-task child collector) or WithConfig. The
 // experiment harness in internal/experiments follows exactly this

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"resemble/internal/prefetch"
@@ -133,7 +134,7 @@ func WithSpanParent(ref telemetry.SpanRef) Option {
 // checkpointing, fault injection) so every run — plain, instrumented,
 // or resumable — goes through one code path. A Runner is immutable
 // after construction and safe for concurrent use by multiple
-// goroutines; each Run builds a fresh Simulator.
+// goroutines; each Run takes a Simulator of its own from simPool.
 type Runner struct {
 	cfg Config
 	set settings
@@ -204,7 +205,8 @@ func (r *Runner) Run(tr *trace.Trace, src Source) (Result, error) {
 	if r.set.baseline {
 		src = nil
 	}
-	s := New(r.cfg)
+	s := acquire(r.cfg)
+	defer release(s)
 	name := "none"
 	if src != nil {
 		name = src.Name()
@@ -268,4 +270,26 @@ func (r *Runner) Run(tr *trace.Trace, src Source) (Result, error) {
 		s.flushCounters()
 	}
 	return s.result(tr, src), nil
+}
+
+// simPool holds reset Simulators between runs, so a run reuses the
+// LLC ways, queues and in-flight set of an earlier one instead of
+// allocating them (DESIGN.md §13).
+var simPool sync.Pool
+
+// acquire returns a Simulator in the state New(cfg) leaves it in: a
+// pooled one built for the same configuration, or a new one.
+func acquire(cfg Config) *Simulator {
+	if s, ok := simPool.Get().(*Simulator); ok && s.cfg == cfg.normalized() {
+		return s
+	}
+	return New(cfg)
+}
+
+// release resets s and returns it to the pool. Run calls it only after
+// its Result has been assembled: a Result holds copies, never the
+// pooled simulator's memory.
+func release(s *Simulator) {
+	s.reset()
+	simPool.Put(s)
 }

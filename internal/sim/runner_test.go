@@ -2,23 +2,29 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"resemble/internal/checkpoint"
 	"resemble/internal/core"
+	"resemble/internal/ensemble/sbp"
 	"resemble/internal/prefetch"
 	"resemble/internal/prefetch/bo"
 	"resemble/internal/prefetch/domino"
 	"resemble/internal/prefetch/isb"
 	"resemble/internal/prefetch/spp"
 	"resemble/internal/telemetry"
+	"resemble/internal/trace"
 )
 
 // TestRunnerDeterministicRepeat: two identical runs through the Runner
-// produce identical results (the Runner builds a fresh Simulator per
-// Run, so no state leaks between them).
+// produce identical results (each Run takes a reset Simulator from the
+// pool, so no state leaks between them).
 func TestRunnerDeterministicRepeat(t *testing.T) {
 	tr := streamTrace(20000)
 	first, err := NewRunner(DefaultConfig()).Run(tr, &nextLineSource{degree: 2})
@@ -216,4 +222,140 @@ func TestNilOptionsSkipped(t *testing.T) {
 	if !r.set.baseline {
 		t.Error("nil options disturbed real ones")
 	}
+}
+
+// TestPooledRunMatchesFresh: a run on a pooled Simulator gives the
+// same Result, windows and checkpoint bytes (bar the telemetry
+// section) as a run on a new one,
+// after a run under another configuration (which the pool cannot
+// serve) and, on the pooled Simulator itself, runs of a different
+// trace and controller with telemetry, checkpoints, an interrupt
+// mid-run and a resume; and the reuse leaves an earlier run's Result
+// and windows as they were.
+func TestPooledRunMatchesFresh(t *testing.T) {
+	arms := func() []prefetch.Prefetcher {
+		return []prefetch.Prefetcher{
+			bo.New(bo.Config{}), spp.New(spp.Config{}),
+			isb.New(isb.Config{}), domino.New(domino.Config{}),
+		}
+	}
+	cfg := DefaultConfig()
+	other := cfg
+	other.PrefetchLatency, other.LowThroughput = 30, true
+	trA := lookupTrace(t, "471.omnetpp", 6000)
+	trB := lookupTrace(t, "433.milc", 5000)
+	type run struct {
+		res   Result
+		tel   *telemetry.Collector
+		blobs [][]byte
+	}
+	measure := func(c Config, tr *trace.Trace, src Source, opts ...Option) (run, error) {
+		r := run{tel: keepWindows(t)}
+		sink := func(blob []byte, _ int) error {
+			r.blobs = append(r.blobs, bytes.Clone(blob))
+			return nil
+		}
+		opts = append(opts, WithTelemetry(r.tel))
+		if CanCheckpoint(src) {
+			opts = append(opts, WithCheckpointSink(1500, sink))
+		}
+		var err error
+		r.res, err = NewRunner(c, opts...).Run(tr, src)
+		return r, err
+	}
+	windows := func(r run) string {
+		b, err := json.Marshal(r.tel.Windows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	tabular := func() Source { return core.NewTabularController(core.DefaultConfig().WithMasking(), arms()) }
+	drain := func() {
+		for simPool.Get() != nil {
+		}
+	}
+
+	// With the pool drained, the reference run builds its simulator.
+	drain()
+	want, err := measure(cfg, trB, tabular())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(other).Run(trA, sbp.New(sbp.Config{}, arms())); err != nil {
+		t.Fatal(err)
+	}
+	// From here on every run of cfg gets dirty: the pool holds nothing
+	// else, and its New hands dirty out even where the race detector
+	// drops what Run puts back.
+	drain()
+	dirty := New(cfg)
+	simPool.New = func() any { return dirty }
+	t.Cleanup(func() { simPool.New = nil })
+	earlier, err := measure(cfg, trA, sbp.New(sbp.Config{}, arms()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	earlierRes, _ := json.Marshal(earlier.res)
+	earlierWin := windows(earlier)
+	stopped, err := measure(cfg, trA, core.NewTabularController(core.DefaultConfig(), arms()), WithStopAfter(4000))
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run: %v", err)
+	}
+	// Loading a checkpoint sizes the in-flight set to the snapshot's
+	// entries, a smaller table than New's, whose iteration order later
+	// checkpoints record.
+	resumed := WithResumeBlob(stopped.blobs[len(stopped.blobs)-1])
+	if _, err := measure(cfg, trA, core.NewTabularController(core.DefaultConfig(), arms()), resumed); err != nil {
+		t.Fatal(err)
+	}
+	got, err := measure(cfg, trB, tabular())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !reflect.DeepEqual(got.res, want.res) {
+		t.Errorf("pooled result differs from fresh:\n got %+v\nwant %+v", got.res, want.res)
+	}
+	if windows(got) != windows(want) {
+		t.Error("pooled windows differ from fresh")
+	}
+	if len(got.blobs) == 0 || len(got.blobs) != len(want.blobs) {
+		t.Fatalf("%d pooled checkpoints, %d fresh", len(got.blobs), len(want.blobs))
+	}
+	for i := range want.blobs {
+		if !bytes.Equal(withoutTelemetry(t, got.blobs[i]), withoutTelemetry(t, want.blobs[i])) {
+			t.Errorf("checkpoint %d differs from fresh", i)
+		}
+	}
+	if b, _ := json.Marshal(earlier.res); !bytes.Equal(b, earlierRes) || windows(earlier) != earlierWin {
+		t.Error("reusing the simulator changed an earlier run's Result or windows")
+	}
+}
+
+// withoutTelemetry returns a checkpoint's sections other than the
+// collector's, concatenated. gob writes the collector's counter maps in
+// map iteration order, so that section differs between two fresh runs.
+func withoutTelemetry(t *testing.T, blob []byte) []byte {
+	t.Helper()
+	f, err := checkpoint.Read(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, name := range f.Sections() {
+		if name == "telemetry" {
+			continue
+		}
+		r, err := f.Section(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, name...), b...)
+	}
+	return out
 }

@@ -267,24 +267,46 @@ func (s *Simulator) AttachTelemetry(tel *telemetry.Collector) {
 	s.hOccupancy = r.Histogram("sim.dram.mshr_occupancy")
 }
 
+// pendingHint sizes a new simulator's in-flight prefetch queue and set.
+const pendingHint = 64
+
 // New builds a simulator; it panics on invalid configuration.
 func New(cfg Config) *Simulator {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.MaxDegree <= 0 {
-		cfg.MaxDegree = 1
-	}
 	return &Simulator{
-		cfg: cfg,
+		cfg: cfg.normalized(),
 		sharedState: sharedState{
 			llc:        cache.New(cfg.LLC),
 			mshr:       make([]float64, 0, cfg.LLC.MSHRs),
-			pending:    make([]pendingFill, 0, 64),
-			pendingSet: flatmap.New(64),
+			pending:    make([]pendingFill, 0, pendingHint),
+			pendingSet: flatmap.New(pendingHint),
 		},
 		coreState: newCoreState(cfg),
 	}
+}
+
+// normalized returns c with the defaults New applies.
+func (c Config) normalized() Config {
+	c.MaxDegree = max(c.MaxDegree, 1)
+	return c
+}
+
+// reset returns s to the state New(s.cfg) leaves it in, keeping its
+// LLC ways, queues and in-flight set. Zeroing the core state also
+// detaches the telemetry, the controller probe and the trace's private
+// filter, so nothing of the previous run carries over.
+func (s *Simulator) reset() {
+	s.llc.Reset()
+	s.pendingSet.Reset(pendingHint)
+	s.sharedState = sharedState{
+		llc:        s.llc,
+		mshr:       s.mshr[:0],
+		pending:    s.pending[:0],
+		pendingSet: s.pendingSet,
+	}
+	s.coreState = coreState{robQ: s.robQ[:0]}
 }
 
 // newCoreState returns a core's initial state. The ROB queue holds at

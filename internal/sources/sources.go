@@ -132,6 +132,11 @@ type Env struct {
 	Arm func(name string) (prefetch.Prefetcher, error)
 	// Inputs, when set, supplies an ensemble's whole input set.
 	Inputs func() ([]prefetch.Prefetcher, error)
+	// Ensemble, when set, supplies the named ensemble controller over
+	// inputs in place of build(), which constructs a new one: a service
+	// worker hands back the controller it holds, restarted, when it
+	// can.
+	Ensemble func(name string, inputs []prefetch.Prefetcher, build func() sim.Source) sim.Source
 }
 
 // Build turns name into a source: nil for None, a solo arm at
@@ -158,7 +163,11 @@ func Build(name string, env Env) (sim.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.new(env.Config, inputs), nil
+		build := func() sim.Source { return e.new(env.Config, inputs) }
+		if env.Ensemble != nil {
+			return env.Ensemble(name, inputs, build), nil
+		}
+		return build(), nil
 	}
 	for _, a := range arms {
 		if a.name != name {

@@ -112,38 +112,3 @@ func (c *Collector) PhaseAllocs() []PhaseAlloc {
 	}
 	return out
 }
-
-// AllocPhase is a lightweight phase handle for code that wants
-// allocation attribution without opening a span (e.g. per-checkpoint
-// saves inside the simulate loop, where a span per save would bloat
-// the span stream but an aggregate is welcome). The zero value is a
-// valid disabled handle; the type is a value, so starting and ending a
-// phase allocates nothing itself.
-type AllocPhase struct {
-	c     *Collector
-	name  string
-	start allocTick
-}
-
-// StartAllocPhase opens an attribution-only phase. On a nil collector
-// or with attribution disabled it returns the zero (disabled) handle —
-// the cost is the same nil check every other disabled telemetry hook
-// pays.
-func (c *Collector) StartAllocPhase(name string) AllocPhase {
-	if c == nil || !c.allocOn {
-		return AllocPhase{}
-	}
-	return AllocPhase{c: c, name: name, start: readAllocTick()}
-}
-
-// End closes the phase and charges the allocation delta.
-func (p AllocPhase) End() {
-	if p.c != nil {
-		p.end()
-	}
-}
-
-func (p AllocPhase) end() {
-	now := readAllocTick()
-	p.c.recordPhaseAlloc(p.name, now.bytes-p.start.bytes, now.objects-p.start.objects)
-}

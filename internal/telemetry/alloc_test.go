@@ -35,8 +35,6 @@ func TestAllocAttributionDisabledByDefault(t *testing.T) {
 			t.Errorf("disabled output contains alloc fields: %s", b)
 		}
 	}
-	p := tel.StartAllocPhase("x")
-	p.End() // must be a no-op, not a panic
 }
 
 func TestAllocAttributionChargesSpansAndWindows(t *testing.T) {
@@ -75,34 +73,6 @@ func TestAllocAttributionChargesSpansAndWindows(t *testing.T) {
 	}
 }
 
-func TestStartAllocPhaseAggregates(t *testing.T) {
-	tel, err := New(Config{AllocAttribution: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 1 << 19
-	for i := 0; i < 3; i++ {
-		p := tel.StartAllocPhase("checkpoint.save")
-		buf := ballast(n)
-		p.End()
-		runtime.KeepAlive(buf)
-	}
-	pas := tel.PhaseAllocs()
-	if len(pas) != 1 || pas[0].Phase != "checkpoint.save" {
-		t.Fatalf("phase allocs = %+v", pas)
-	}
-	if pas[0].Count != 3 {
-		t.Errorf("count = %d, want 3", pas[0].Count)
-	}
-	if pas[0].AllocBytes < 3*n {
-		t.Errorf("alloc bytes = %d, want >= %d", pas[0].AllocBytes, 3*n)
-	}
-	// Attribution-only phases must not create span records.
-	if spans := tel.Spans(); len(spans) != 0 {
-		t.Errorf("AllocPhase created spans: %+v", spans)
-	}
-}
-
 func TestMergeFoldsPhaseAllocs(t *testing.T) {
 	// The ballast must be a large object (over 32 KiB). The runtime
 	// counts a small object in /gc/heap/allocs only when its mcache
@@ -123,7 +93,7 @@ func TestMergeFoldsPhaseAllocs(t *testing.T) {
 		_ = ballast(size)
 		sp.End()
 	}
-	cp := ch.StartAllocPhase("child.only")
+	cp := ch.StartSpan("t", "child.only")
 	_ = ballast(size)
 	cp.End()
 	parent.Merge(ch)
@@ -150,8 +120,7 @@ func TestPhaseAllocsDeterministicOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"zz", "aa", "mm"} {
-		p := tel.StartAllocPhase(name)
-		p.End()
+		tel.StartSpan("t", name).End()
 	}
 	pas := tel.PhaseAllocs()
 	names := make([]string, len(pas))
@@ -165,6 +134,4 @@ func TestPhaseAllocsDeterministicOrder(t *testing.T) {
 	if nilC.PhaseAllocs() != nil {
 		t.Error("nil collector PhaseAllocs != nil")
 	}
-	p := nilC.StartAllocPhase("x")
-	p.End()
 }

@@ -86,6 +86,10 @@ type Collector struct {
 	start    time.Time
 	manifest Manifest
 	closed   bool
+	// overlay, set by the daemon's operator surface, writes the
+	// daemon's own counters and gauges over the metrics.json snapshot
+	// as it does over /metrics.
+	overlay func(*RegistrySnapshot)
 
 	runWorkload string
 	runSource   string
@@ -422,7 +426,11 @@ func (c *Collector) Close() error {
 		}
 	}
 	if c.cfg.Dir != "" {
-		if err := writeJSON(filepath.Join(c.cfg.Dir, "metrics.json"), c.reg.Snapshot()); err != nil && first == nil {
+		snap := c.reg.Snapshot()
+		if c.overlay != nil {
+			c.overlay(&snap)
+		}
+		if err := writeJSON(filepath.Join(c.cfg.Dir, "metrics.json"), snap); err != nil && first == nil {
 			first = err
 		}
 		if pas := c.PhaseAllocs(); len(pas) > 0 {

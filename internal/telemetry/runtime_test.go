@@ -122,12 +122,12 @@ func TestReadAllocCountersCountTinyObjects(t *testing.T) {
 	}
 	runtime.GC()
 	a := ReadAllocCounters()
-	p := tel.StartAllocPhase("tiny")
+	sp := tel.StartSpan("t", "tiny")
 	for i := 0; i < n; i++ {
 		tinySink = new(uint64)
 	}
 	runtime.GC()
-	p.End()
+	sp.End()
 	b := ReadAllocCounters()
 	if got := b.Objects - a.Objects; got < n {
 		t.Errorf("ReadAllocCounters counts %d objects for %d tiny allocations", got, n)

@@ -89,6 +89,15 @@ func (s *Span) beginAlloc(c *Collector) *Span {
 	return s
 }
 
+// endAlloc charges the allocations made since beginAlloc to the span's
+// record and to its phase.
+func (s *Span) endAlloc(rec *SpanRecord) {
+	tick := readAllocTick()
+	rec.AllocBytes = tick.bytes - s.alloc.bytes
+	rec.AllocObjects = tick.objects - s.alloc.objects
+	s.c.recordPhaseAlloc(s.name, rec.AllocBytes, rec.AllocObjects)
+}
+
 // spanID derives the deterministic identity of a span.
 func spanID(parent SpanID, track, name string, ordinal uint64) SpanID {
 	h := fnv.New64a()
@@ -181,10 +190,7 @@ func (s *Span) end() {
 		DurUS:   durUS(now.Sub(s.start)),
 	}
 	if s.allocOn {
-		tick := readAllocTick()
-		rec.AllocBytes = tick.bytes - s.alloc.bytes
-		rec.AllocObjects = tick.objects - s.alloc.objects
-		s.c.recordPhaseAlloc(s.name, rec.AllocBytes, rec.AllocObjects)
+		s.endAlloc(&rec)
 	}
 	s.rec = rec
 	s.c.addSpan(rec)

@@ -42,7 +42,8 @@ type SurfaceConfig struct {
 	// it, otherwise body is the 200 payload.
 	Ready func() (body any, reason string)
 	// Overlay writes the daemon's own counters and gauges over the
-	// registry snapshot behind /metrics and /metrics/history.
+	// registry snapshot behind /metrics and /metrics/history, and over
+	// the metrics.json the collector writes at Close.
 	Overlay func(*RegistrySnapshot)
 	// Rules fold per-instance metric names into labeled families on
 	// /metrics.
@@ -89,6 +90,7 @@ func NewSurface(col *Collector, cfg SurfaceConfig) *Surface {
 		o.reg = NewRegistry()
 	}
 	if col != nil {
+		col.overlay = cfg.Overlay
 		o.history = NewHistory(cfg.HistorySamples)
 		o.Recorder = NewFlightRecorder(RecorderConfig{
 			Process:     cfg.Process,

@@ -24,9 +24,10 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # allocate, and Requantize must refresh parameters in place. Checkpoint bytes must
 # not depend on map iteration order: two identical runs give identical
 # blobs (the artifact store names them by hash). A service worker reuses
-# its prefetcher arms across requests (DESIGN.md §9): every arm's Reset
-# must leave it byte-identical to a new one, and a warm request's source
-# construction must not rebuild the arms' tables. The optimized arms and
+# its prefetcher arms and ensemble controllers across requests, and a
+# run its simulator (DESIGN.md §9, §13): every arm's Reset must leave it
+# byte-identical to a new one, and a warm request (source construction
+# plus the run) must not rebuild the arms, controller or simulator. The optimized arms and
 # ROB lookup must match reference models of the code they replaced
 # (SPP's FIFO filter, Domino's Get-then-Put, BO's score rescan, the ROB
 # binary search), suggestion for suggestion and byte for byte. Runs
@@ -93,8 +94,8 @@ echo "== disabled-telemetry hooks inline (DESIGN.md §10) =="
 # budget fails here by name instead of as a timing flake below.
 inl=$(go build -gcflags=-m ./internal/telemetry/ 2>&1)
 for fn in '(\*Counter)\.Inc' '(\*Collector)\.Trace' '(\*Collector)\.RunSpanChild' \
-    '(\*Span)\.End' '(\*Collector)\.ExplainTick' '(\*Collector)\.StartAllocPhase' \
-    'AllocPhase\.End' '(\*FlightRecorder)\.Note' '(\*FlightRecorder)\.Trigger' \
+    '(\*Span)\.End' '(\*Collector)\.ExplainTick' \
+    '(\*FlightRecorder)\.Note' '(\*FlightRecorder)\.Trigger' \
     '(\*History)\.Record' '(\*History)\.Len'; do
     if ! printf '%s\n' "$inl" | grep -q "can inline $fn\$"; then
         echo "not inlinable: $fn (split its body out; see DESIGN.md §10)" >&2
@@ -102,7 +103,7 @@ for fn in '(\*Counter)\.Inc' '(\*Collector)\.Trace' '(\*Collector)\.RunSpanChild
     fi
 done
 
-echo "== disabled-telemetry overhead budget (counters, trace, spans, explain, alloc attribution, flight recorder, metrics history) =="
+echo "== disabled-telemetry overhead budget (counters, trace, spans, explain, flight recorder, metrics history) =="
 go test -run DisabledHotPath -count 1 ./internal/telemetry/
 
 echo "== profiling round-trip (real allocs profile through pprofparse) =="
