@@ -123,7 +123,7 @@ func main() {
 		Telemetry:          tel,
 		Logger:             logger,
 		PprofAddr:          *pprofAddr,
-		Profile:            service.ProfileConfig{Dir: *profDir},
+		ProfileDir:         *profDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resembled: %v\n", err)

@@ -323,7 +323,7 @@ func (k *soak) auditFlightRecorder(addr string) {
 }
 
 // auditCapture takes an on-demand profile capture over HTTP and
-// validates the manifest: files on disk, decoded top alloc symbols.
+// validates the manifest: every listed file is on disk.
 func (k *soak) auditCapture(addr string) {
 	resp, err := http.Post("http://"+addr+"/debug/profile/capture?cpu_ms=50", "", nil)
 	if err != nil {
@@ -350,12 +350,7 @@ func (k *soak) auditCapture(addr string) {
 			return
 		}
 	}
-	if len(info.TopAllocSpace) == 0 {
-		k.failf("capture manifest has no decoded alloc symbols")
-		return
-	}
-	k.passf("on-demand capture %d: %v, top alloc %s",
-		info.Seq, info.Files, info.TopAllocSpace[0].Func)
+	k.passf("on-demand capture %d: %v", info.Seq, info.Files)
 }
 
 // phaseChaosAndRecovery runs the fault window — stuck arm, slow
@@ -390,7 +385,7 @@ func (k *soak) phaseChaosAndRecovery() {
 		// Dense metrics-history sampling so the breaker-trip incident
 		// below embeds a real pre-incident window.
 		HistoryEvery: 50 * time.Millisecond,
-		Profile:      service.ProfileConfig{Dir: filepath.Join(dir, "profiles"), Ring: 2},
+		ProfileDir:   filepath.Join(dir, "profiles"),
 		Chaos:        chaos,
 		ControllerConfig: func(req service.Request) core.Config {
 			cfg := core.DefaultConfig().WithMasking()

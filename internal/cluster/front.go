@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"resemble/internal/cas"
+	"resemble/internal/flatmap"
 	"resemble/internal/resilience"
 	"resemble/internal/service"
 	"resemble/internal/telemetry"
@@ -182,14 +183,15 @@ type Front struct {
 	ops *telemetry.Surface
 
 	fleetMu sync.Mutex
-	fleet   []FleetIncident
+	fleet   flatmap.Queue[FleetIncident]
 
 	drainOnce sync.Once
 	drainErr  error
 	drained   chan struct{}
 }
 
-// fleetIncidentCap bounds the front door's in-memory fleet-bundle ring.
+// fleetIncidentCap is how many fleet bundles the front door keeps (the
+// newest).
 const fleetIncidentCap = 16
 
 // New validates the configuration and builds a stopped front door;
@@ -846,8 +848,8 @@ type FleetIncident struct {
 }
 
 // assembleFleetBundle pulls every backend's recorder snapshot and
-// parks the assembled bundle in the bounded fleet ring. Called in the
-// background on automatic triggers and synchronously on manual
+// keeps the assembled bundle among the newest fleetIncidentCap. Called
+// in the background on automatic triggers and synchronously on manual
 // capture.
 func (f *Front) assembleFleetBundle(inc telemetry.Incident) FleetIncident {
 	bundle := FleetIncident{Incident: inc, Backends: make(map[string]BackendRing)}
@@ -855,10 +857,7 @@ func (f *Front) assembleFleetBundle(inc telemetry.Incident) FleetIncident {
 		bundle.Backends[b] = f.pullBackendRing(b)
 	}
 	f.fleetMu.Lock()
-	f.fleet = append(f.fleet, bundle)
-	if len(f.fleet) > fleetIncidentCap {
-		f.fleet = f.fleet[len(f.fleet)-fleetIncidentCap:]
-	}
+	f.fleet.PushBounded(bundle, fleetIncidentCap)
 	f.fleetMu.Unlock()
 	return bundle
 }
@@ -889,7 +888,7 @@ func (f *Front) pullBackendRing(b string) BackendRing {
 func (f *Front) FleetIncidents() []FleetIncident {
 	f.fleetMu.Lock()
 	defer f.fleetMu.Unlock()
-	return append([]FleetIncident(nil), f.fleet...)
+	return append([]FleetIncident(nil), f.fleet.Live()...)
 }
 
 // Drain gracefully stops the front door: admission closes (new

@@ -28,6 +28,22 @@ func (q *Queue[T]) Pop() T {
 	return v
 }
 
+// PushBounded appends v and then evicts the oldest elements until at
+// most limit remain (limit <= 0 keeps everything), returning how many
+// it evicted. Evicted slots are zeroed so the queue stops referencing
+// them. This is the one retention rule of every bounded debug buffer:
+// keep the newest limit records.
+func (q *Queue[T]) PushBounded(v T, limit int) (evicted int) {
+	q.Push(v)
+	var zero T
+	for limit > 0 && q.Len() > limit {
+		q.buf[q.head] = zero
+		q.head++
+		evicted++
+	}
+	return evicted
+}
+
 // Len returns the number of queued elements.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 

@@ -196,3 +196,31 @@ func TestFIFOMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+func TestQueuePushBounded(t *testing.T) {
+	var q Queue[*int]
+	vals := make([]int, 7)
+	dropped := 0
+	for i := range vals {
+		vals[i] = i
+		dropped += q.PushBounded(&vals[i], 4)
+	}
+	if dropped != 3 || q.Len() != 4 {
+		t.Fatalf("dropped %d, len %d; want 3 and 4", dropped, q.Len())
+	}
+	for i, p := range q.Live() {
+		if *p != 3+i {
+			t.Errorf("live[%d] = %d, want %d", i, *p, 3+i)
+		}
+	}
+	// Evicted slots no longer reference their records.
+	for i, p := range q.buf[:q.head] {
+		if p != nil {
+			t.Errorf("evicted slot %d still holds %d", i, *p)
+		}
+	}
+	// A limit <= 0 keeps everything.
+	if n := q.PushBounded(&vals[0], 0); n != 0 || q.Len() != 5 {
+		t.Errorf("unbounded push dropped %d, len %d", n, q.Len())
+	}
+}

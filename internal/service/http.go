@@ -108,7 +108,7 @@ type Response struct {
 //
 // plus the nine operator routes shared with the front door
 // (telemetry.Surface). When the capture manager is configured
-// (Config.Profile.Dir):
+// (Config.ProfileDir):
 //
 //	POST /debug/profile/capture   take a CPU+heap capture now
 //	GET  /debug/profile/captures  list the retained capture manifests
@@ -343,7 +343,7 @@ func (s *Service) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 		cpuDur = time.Duration(ms) * time.Millisecond
 	}
 	p99 := s.hLatency.Snapshot().Summary.P99
-	info, err := s.profiles.Capture("manual: POST /debug/profile/capture", cpuDur, p99, 0)
+	info, err := s.profiles.Capture("manual: POST /debug/profile/capture", cpuDur, p99)
 	if err != nil {
 		telemetry.WriteJSON(w, http.StatusInternalServerError, Response{Error: err.Error()})
 		return

@@ -117,9 +117,10 @@ type Config struct {
 	// a separate listener (e.g. "127.0.0.1:0"); the server is shut down
 	// on drain.
 	PprofAddr string
-	// Profile configures the capture manager (see ProfileConfig); the
-	// zero value disables it.
-	Profile ProfileConfig
+	// ProfileDir, when non-empty, enables the profile capture manager
+	// (POST /debug/profile/capture) writing capture directories under
+	// it.
+	ProfileDir string
 	// Logf receives operational log lines (nil discards them unless
 	// Logger is set, in which case they route through it at Info).
 	Logf func(format string, args ...any)
@@ -326,7 +327,7 @@ type Service struct {
 	pprofAddr string       // bound pprof listen address (empty when off)
 	pprofSrv  *http.Server // shut down on drain
 
-	profiles *captureManager // nil when ProfileConfig is disabled
+	profiles *captureManager // nil without Config.ProfileDir
 
 	// ops is the operator surface shared with the front door: the
 	// nine debug routes, the metrics-history sampler and the incident
@@ -340,7 +341,7 @@ type Service struct {
 	commits committer
 
 	workers  sync.WaitGroup // worker goroutines
-	loops    sync.WaitGroup // watchdog, profile monitor
+	loops    sync.WaitGroup // watchdog
 	httpDone chan struct{}  // closed when the http server goroutine exits
 	stopCh   chan struct{}  // closed on drain to stop the background loops
 
@@ -354,10 +355,8 @@ type Service struct {
 	drainErr  error
 	drained   chan struct{} // closed when drain completes
 
-	// metric handles (nil-safe when telemetry is off)
-	mBreaker map[string]*telemetry.Gauge
 	// hLatency tracks end-to-end request latency in milliseconds; the
-	// capture manager's p99 auto-trigger reads it.
+	// p99-breach trigger and the capture manifests read it.
 	hLatency *telemetry.Histogram
 }
 
@@ -423,31 +422,25 @@ func New(cfg Config) (*Service, error) {
 		stopCh:   make(chan struct{}),
 		drained:  make(chan struct{}),
 		busy:     make([]workerStatus, cfg.Workers),
-		mBreaker: make(map[string]*telemetry.Gauge),
 	}
 	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
 	reg := cfg.Telemetry.Registry()
 	s.hLatency = reg.Histogram("service.request.latency.ms")
 	if s.hLatency == nil {
 		// No telemetry registry: keep a standalone histogram so the
-		// capture manager's p99 trigger still has a signal.
+		// capture manifests still carry a p99.
 		s.hLatency = &telemetry.Histogram{}
 	}
-	if cfg.Profile.enabled() {
-		s.profiles = newCaptureManager(cfg.Profile, cfg.Logf, reg.Counter("service.profile.captures"))
+	if cfg.ProfileDir != "" {
+		s.profiles = newCaptureManager(cfg.ProfileDir, cfg.Logf)
 	}
 	s.ops = telemetry.NewSurface(cfg.Telemetry, s.surfaceConfig())
 	for _, arm := range ArmNames() {
 		arm := arm
 		bcfg := cfg.Breaker
-		gauge := reg.Gauge("service.breaker.state." + arm)
-		s.mBreaker[arm] = gauge
-		trips := reg.Counter("service.breaker.trips." + arm)
 		prev := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to resilience.BreakerState) {
-			gauge.Set(float64(to))
 			if to == resilience.Open {
-				trips.Inc()
 				s.ops.Recorder.Trigger("breaker.trip", arm)
 			} else {
 				s.ops.Recorder.Note("breaker."+to.String(), arm)
@@ -599,10 +592,6 @@ func (s *Service) Start() error {
 	}
 	s.loops.Add(1)
 	go s.watchdog()
-	if s.profiles != nil && s.profiles.cfg.autoEnabled() {
-		s.loops.Add(1)
-		go s.profileLoop()
-	}
 	s.cfg.Logf("service: ready on %s (%d workers, queue %d)",
 		s.Addr(), s.cfg.Workers, s.cfg.QueueDepth)
 	return nil

@@ -13,6 +13,7 @@ import (
 	"resemble/internal/prefetch/isb"
 	"resemble/internal/prefetch/spp"
 	"resemble/internal/sim"
+	"resemble/internal/telemetry"
 )
 
 // TestCheckpointBytesDeterministicAcrossRuns runs every checkpointable
@@ -21,7 +22,8 @@ import (
 // and for the ensembles byte-identical SaveModel output. The artifact
 // store names blobs by SHA-256, so any serialization that depends on
 // map iteration order would give the same run a new checkpoint ID each
-// time.
+// time. The telemetry case attaches a collector, whose section carries
+// the registry's instrument values.
 func TestCheckpointBytesDeterministicAcrossRuns(t *testing.T) {
 	tr := resumeTrace(t, 600)
 	arms := func() []prefetch.Prefetcher {
@@ -33,13 +35,15 @@ func TestCheckpointBytesDeterministicAcrossRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func() sim.Source
+		tel  bool
 	}{
-		{"resemble", func() sim.Source { return core.NewController(core.DefaultConfig(), arms()) }},
-		{"resemble-t", func() sim.Source { return core.NewTabularController(core.DefaultConfig(), arms()) }},
-		{"bo", func() sim.Source { return sim.FromPrefetcher(bo.New(bo.Config{}), 2) }},
-		{"spp", func() sim.Source { return sim.FromPrefetcher(spp.New(spp.Config{}), 2) }},
-		{"isb", func() sim.Source { return sim.FromPrefetcher(isb.New(isb.Config{}), 2) }},
-		{"domino", func() sim.Source { return sim.FromPrefetcher(domino.New(domino.Config{}), 2) }},
+		{"resemble", func() sim.Source { return core.NewController(core.DefaultConfig(), arms()) }, false},
+		{"resemble-t", func() sim.Source { return core.NewTabularController(core.DefaultConfig(), arms()) }, false},
+		{"resemble-t+telemetry", func() sim.Source { return core.NewTabularController(core.DefaultConfig(), arms()) }, true},
+		{"bo", func() sim.Source { return sim.FromPrefetcher(bo.New(bo.Config{}), 2) }, false},
+		{"spp", func() sim.Source { return sim.FromPrefetcher(spp.New(spp.Config{}), 2) }, false},
+		{"isb", func() sim.Source { return sim.FromPrefetcher(isb.New(isb.Config{}), 2) }, false},
+		{"domino", func() sim.Source { return sim.FromPrefetcher(domino.New(domino.Config{}), 2) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var hashes [2][][32]byte
@@ -47,7 +51,15 @@ func TestCheckpointBytesDeterministicAcrossRuns(t *testing.T) {
 			for run := range hashes {
 				cap := &capture{}
 				src := tc.mk()
-				if _, err := sim.NewRunner(sim.DefaultConfig(), sim.WithCheckpointSink(200, cap.sink)).Run(tr, src); err != nil {
+				opts := []sim.Option{sim.WithCheckpointSink(200, cap.sink)}
+				if tc.tel {
+					col, err := telemetry.New(telemetry.Config{WindowSize: 100, KeepWindows: true, TraceSample: 16, ExplainSample: 8})
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts = append(opts, sim.WithTelemetry(col))
+				}
+				if _, err := sim.NewRunner(sim.DefaultConfig(), opts...).Run(tr, src); err != nil {
 					t.Fatal(err)
 				}
 				if len(cap.blobs) == 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"resemble/internal/flatmap"
 	"resemble/internal/metrics"
 )
 
@@ -27,13 +28,11 @@ type Config struct {
 	// TraceOut overrides the sampled-trace path (default
 	// Dir/trace.jsonl). A .csv suffix selects the CSV sink.
 	TraceOut string
-	// RingSize is the in-memory event ring capacity (default 4096).
-	RingSize int
 	// KeepWindows retains every window snapshot in memory (tests and
 	// in-process consumers; file sinks are unaffected).
 	KeepWindows bool
-	// SpanCap bounds the retained span records (default 16384, oldest
-	// half dropped on overflow); negative disables the cap.
+	// SpanCap bounds the retained span records to the newest SpanCap
+	// (default 16384); negative disables the cap.
 	SpanCap int
 	// ChromeOut, when non-empty, writes the retained spans as Chrome
 	// trace-event JSON to this path on Close.
@@ -45,8 +44,8 @@ type Config struct {
 	// this path (default Dir/decisions.jsonl when Dir is set and
 	// ExplainSample is on).
 	ExplainOut string
-	// DecisionCap bounds the in-memory decision ring (default 4096,
-	// oldest half dropped); negative disables the cap.
+	// DecisionCap bounds the retained decision records to the newest
+	// DecisionCap (default 4096); negative disables the cap.
 	DecisionCap int
 	// AllocAttribution samples the process allocation counters around
 	// every span and window boundary and aggregates the deltas per phase
@@ -59,9 +58,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.WindowSize <= 0 {
 		c.WindowSize = 1000
-	}
-	if c.RingSize <= 0 {
-		c.RingSize = 4096
 	}
 	if c.SpanCap == 0 {
 		c.SpanCap = 16384
@@ -112,17 +108,15 @@ type Collector struct {
 	// scrape/explain handlers) while runs are writing.
 	obsMu       sync.Mutex
 	proc        string // process label stamped onto retained spans (SetProc)
-	spans       []SpanRecord
+	spans       flatmap.Queue[SpanRecord]
 	spanDrops   uint64
-	spanCap     int
 	rootSeq     map[string]uint64
 	childSeq    map[SpanID]uint64
 	runSpan     *Span
 	phaseAllocs map[string]*PhaseAlloc
 
 	explainN  uint64
-	decisions []Decision
-	decCap    int
+	decisions flatmap.Queue[Decision]
 	decFile   *os.File
 	decBuf    *bufio.Writer
 	decEnc    *json.Encoder
@@ -136,10 +130,8 @@ func New(cfg Config) (*Collector, error) {
 	c := &Collector{
 		cfg:         cfg,
 		reg:         NewRegistry(),
-		tracer:      NewTracer(cfg.TraceSample, cfg.RingSize),
+		tracer:      NewTracer(cfg.TraceSample),
 		start:       time.Now(),
-		spanCap:     cfg.SpanCap,
-		decCap:      cfg.DecisionCap,
 		rootSeq:     map[string]uint64{},
 		childSeq:    map[SpanID]uint64{},
 		allocOn:     cfg.AllocAttribution,

@@ -12,7 +12,7 @@ import (
 // saw, the per-arm Q-values, the exploration state, and (once the
 // reward window drains) the realized reward. Records surface through
 // the service's /v1/explain endpoint, the -explain CLI flag
-// (decisions.jsonl), and the in-memory ring for tests.
+// (decisions.jsonl), and the bounded in-memory list.
 //
 // Sampling is deterministic (a per-run tick counter, reset at
 // BeginRun and checkpointed like the tracer phase), so the same run
@@ -76,24 +76,25 @@ func (c *Collector) ExplainSample() int {
 	return c.cfg.ExplainSample
 }
 
-// RecordDecision retains one resolved decision, labels it with the
-// current run, streams it to the decisions file when one is open, and
-// keeps it in the bounded in-memory ring.
+// RecordDecision labels one resolved decision with the current run
+// and keeps it (see keepDecision).
 func (c *Collector) RecordDecision(d Decision) {
 	if c == nil {
 		return
 	}
 	c.obsMu.Lock()
 	d.Workload, d.Source = c.runWorkload, c.runSource
+	c.keepDecision(d)
+	c.obsMu.Unlock()
+}
+
+// keepDecision streams d to the decisions file when one is open and
+// retains it among the newest DecisionCap records. Callers hold obsMu.
+func (c *Collector) keepDecision(d Decision) {
 	if c.decEnc != nil {
 		_ = c.decEnc.Encode(d)
 	}
-	if c.decCap > 0 && len(c.decisions) >= c.decCap {
-		n := copy(c.decisions, c.decisions[len(c.decisions)/2:])
-		c.decisions = c.decisions[:n]
-	}
-	c.decisions = append(c.decisions, d)
-	c.obsMu.Unlock()
+	c.decisions.PushBounded(d, c.cfg.DecisionCap)
 }
 
 // Decisions returns a copy of the retained decision records, oldest
@@ -104,7 +105,7 @@ func (c *Collector) Decisions() []Decision {
 	}
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
-	return append([]Decision(nil), c.decisions...)
+	return append([]Decision(nil), c.decisions.Live()...)
 }
 
 // openExplainOut opens the streaming decisions file.

@@ -3,17 +3,19 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"resemble/internal/flatmap"
 )
 
-// Incident flight recorder: a bounded in-memory ring of recent
+// Incident flight recorder: a bounded in-memory buffer of recent
 // operational events per process, snapshotted — together with the
-// collector's retained spans and the metrics-history ring — into an
+// collector's retained spans and the metrics history — into an
 // incident bundle when something goes wrong (breaker trip, failover,
 // retry-budget exhaustion, shed burst, p99 breach, panic restart).
 // The bundle is the "what just happened" artifact: it can be pulled
 // over HTTP after the fact (GET /debug/incidents), captured manually
 // (POST /debug/incidents/capture), and the front door assembles a
-// fleet-wide bundle by pulling every backend's ring, so a kill-mid-run
+// fleet-wide bundle by pulling every backend's events, so a kill-mid-run
 // incident is explainable from one artifact even after the victim
 // process is gone.
 //
@@ -27,11 +29,6 @@ type RecorderConfig struct {
 	// 127.0.0.1:8321"); settable later via SetProcess when the listen
 	// address is not known at construction.
 	Process string
-	// EventCap bounds the event ring (default 1024).
-	EventCap int
-	// IncidentCap bounds the retained incident bundles (default 16,
-	// oldest dropped).
-	IncidentCap int
 	// MinInterval rate-limits automatic triggers (default 5s): a
 	// breaker flapping or a shed storm yields one bundle per interval,
 	// not thousands. Manual captures bypass it.
@@ -43,27 +40,28 @@ type RecorderConfig struct {
 	Decorate func(*Incident)
 }
 
+// A recorder keeps the newest RecorderEventCap events and the newest
+// RecorderIncidentCap incident bundles.
+const (
+	RecorderEventCap    = 1024
+	RecorderIncidentCap = 16
+)
+
 func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.EventCap <= 0 {
-		c.EventCap = 1024
-	}
-	if c.IncidentCap <= 0 {
-		c.IncidentCap = 16
-	}
 	if c.MinInterval <= 0 {
 		c.MinInterval = 5 * time.Second
 	}
 	return c
 }
 
-// RecorderEvent is one operational event in the ring.
+// RecorderEvent is one operational event in the recorder.
 type RecorderEvent struct {
 	TMS    int64  `json:"t_ms"`
 	Kind   string `json:"kind"`
 	Detail string `json:"detail,omitempty"`
 }
 
-// RecorderSnapshot is a point-in-time copy of one process's ring:
+// RecorderSnapshot is a point-in-time copy of one process's recorder:
 // recent events, the collector's retained spans, and the metrics
 // history. It is what a fleet bundle holds per backend.
 type RecorderSnapshot struct {
@@ -85,32 +83,24 @@ type Incident struct {
 	RecorderSnapshot
 }
 
-// FlightRecorder owns the ring and the retained incidents.
+// FlightRecorder owns the recent events and the retained incidents.
 type FlightRecorder struct {
 	mu         sync.Mutex
 	cfg        RecorderConfig
 	col        *Collector
 	hist       *History
-	events     []RecorderEvent
-	evHead     int
-	evN        int
-	incidents  []Incident
+	events     flatmap.Queue[RecorderEvent]
+	incidents  flatmap.Queue[Incident]
 	seq        uint64
 	lastAuto   time.Time
 	suppressed uint64
 }
 
-// NewFlightRecorder builds a recorder over the collector's span ring
-// and the history ring (either may be nil; the snapshot just omits
-// that section).
+// NewFlightRecorder builds a recorder over the collector's retained
+// spans and the metrics history (either may be nil; the snapshot just
+// omits that section).
 func NewFlightRecorder(cfg RecorderConfig, col *Collector, hist *History) *FlightRecorder {
-	cfg = cfg.withDefaults()
-	return &FlightRecorder{
-		cfg:    cfg,
-		col:    col,
-		hist:   hist,
-		events: make([]RecorderEvent, cfg.EventCap),
-	}
+	return &FlightRecorder{cfg: cfg.withDefaults(), col: col, hist: hist}
 }
 
 // SetProcess relabels the recorder (daemons call it once the listen
@@ -124,7 +114,7 @@ func (r *FlightRecorder) SetProcess(name string) {
 	r.mu.Unlock()
 }
 
-// Note appends one event to the ring. Nil-safe and cheap: events are
+// Note appends one event to the recorder. Nil-safe and cheap: events are
 // breadcrumbs (a hedge fired, a breaker transitioned), not triggers.
 func (r *FlightRecorder) Note(kind, detail string) {
 	if r != nil {
@@ -135,13 +125,7 @@ func (r *FlightRecorder) Note(kind, detail string) {
 func (r *FlightRecorder) note(kind, detail string) {
 	e := RecorderEvent{TMS: time.Now().UnixMilli(), Kind: kind, Detail: detail}
 	r.mu.Lock()
-	if r.evN < len(r.events) {
-		r.events[(r.evHead+r.evN)%len(r.events)] = e
-		r.evN++
-	} else {
-		r.events[r.evHead] = e
-		r.evHead = (r.evHead + 1) % len(r.events)
-	}
+	r.events.PushBounded(e, RecorderEventCap)
 	r.mu.Unlock()
 }
 
@@ -171,7 +155,7 @@ func (r *FlightRecorder) trigger(trigger, detail string) *Incident {
 	return &inc
 }
 
-// Capture unconditionally snapshots the ring into a new retained
+// Capture unconditionally snapshots the recorder into a new retained
 // incident (manual POST /debug/incidents/capture path; Trigger's
 // rate-limited path funnels here too). The zero Incident is returned
 // for a nil recorder.
@@ -190,16 +174,12 @@ func (r *FlightRecorder) Capture(trigger, detail string) Incident {
 	r.mu.Lock()
 	r.seq++
 	inc.Seq = r.seq
-	if len(r.incidents) >= r.cfg.IncidentCap {
-		copy(r.incidents, r.incidents[1:])
-		r.incidents = r.incidents[:len(r.incidents)-1]
-	}
-	r.incidents = append(r.incidents, inc)
+	r.incidents.PushBounded(inc, RecorderIncidentCap)
 	r.mu.Unlock()
 	return inc
 }
 
-// Snapshot copies the ring without capturing an incident — the
+// Snapshot copies the recorder without capturing an incident — the
 // GET /debug/flightrec payload a front door pulls when assembling a
 // fleet bundle. Nil-safe.
 func (r *FlightRecorder) Snapshot() RecorderSnapshot {
@@ -210,15 +190,10 @@ func (r *FlightRecorder) Snapshot() RecorderSnapshot {
 	snap := RecorderSnapshot{
 		Process: r.cfg.Process,
 		TMS:     time.Now().UnixMilli(),
-	}
-	if r.evN > 0 {
-		snap.Events = make([]RecorderEvent, r.evN)
-		for i := 0; i < r.evN; i++ {
-			snap.Events[i] = r.events[(r.evHead+i)%len(r.events)]
-		}
+		Events:  append([]RecorderEvent(nil), r.events.Live()...),
 	}
 	r.mu.Unlock()
-	// Span and history rings have their own locks; don't hold ours.
+	// Spans and history have their own locks; don't hold ours.
 	snap.Spans = r.col.Spans()
 	snap.History = r.hist.Samples()
 	return snap
@@ -231,11 +206,11 @@ func (r *FlightRecorder) Incidents() []Incident {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Incident(nil), r.incidents...)
+	return append([]Incident(nil), r.incidents.Live()...)
 }
 
 // Suppressed reports how many automatic triggers the rate limit
-// swallowed (their Note breadcrumbs are still in the ring).
+// swallowed (their Note breadcrumbs are still in the recorder).
 func (r *FlightRecorder) Suppressed() uint64 {
 	if r == nil {
 		return 0

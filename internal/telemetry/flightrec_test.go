@@ -8,13 +8,13 @@ import (
 )
 
 func TestFlightRecorderRingBounds(t *testing.T) {
-	r := NewFlightRecorder(RecorderConfig{Process: "p", EventCap: 4, IncidentCap: 2, MinInterval: time.Hour}, nil, nil)
-	for i := 0; i < 10; i++ {
+	r := NewFlightRecorder(RecorderConfig{Process: "p", MinInterval: time.Hour}, nil, nil)
+	for i := 0; i < RecorderEventCap+6; i++ {
 		r.Note("k", fmt.Sprintf("e%d", i))
 	}
 	snap := r.Snapshot()
-	if len(snap.Events) != 4 {
-		t.Fatalf("ring kept %d events, cap is 4", len(snap.Events))
+	if len(snap.Events) != RecorderEventCap {
+		t.Fatalf("recorder kept %d events, cap is %d", len(snap.Events), RecorderEventCap)
 	}
 	for i, e := range snap.Events {
 		if want := fmt.Sprintf("e%d", 6+i); e.Detail != want {
@@ -25,18 +25,19 @@ func TestFlightRecorderRingBounds(t *testing.T) {
 		t.Fatalf("snapshot process %q", snap.Process)
 	}
 
-	for i := 0; i < 5; i++ {
+	for i := 0; i < RecorderIncidentCap+3; i++ {
 		r.Capture("manual", fmt.Sprintf("c%d", i))
 	}
 	incs := r.Incidents()
-	if len(incs) != 2 {
-		t.Fatalf("retained %d incidents, cap is 2", len(incs))
+	if len(incs) != RecorderIncidentCap {
+		t.Fatalf("retained %d incidents, cap is %d", len(incs), RecorderIncidentCap)
 	}
-	if incs[0].Detail != "c3" || incs[1].Detail != "c4" {
-		t.Fatalf("retained wrong incidents: %q, %q", incs[0].Detail, incs[1].Detail)
+	last := incs[len(incs)-1]
+	if incs[0].Detail != "c3" || last.Detail != fmt.Sprintf("c%d", RecorderIncidentCap+2) {
+		t.Fatalf("retained wrong incidents: %q .. %q", incs[0].Detail, last.Detail)
 	}
-	if incs[0].Seq != 4 || incs[1].Seq != 5 {
-		t.Fatalf("incident seqs %d,%d want 4,5", incs[0].Seq, incs[1].Seq)
+	if incs[0].Seq != 4 || last.Seq != RecorderIncidentCap+3 {
+		t.Fatalf("incident seqs %d..%d want 4..%d", incs[0].Seq, last.Seq, RecorderIncidentCap+3)
 	}
 }
 
@@ -110,7 +111,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewFlightRecorder(RecorderConfig{EventCap: 64, IncidentCap: 4, MinInterval: time.Nanosecond}, col, NewHistory(16))
+	r := NewFlightRecorder(RecorderConfig{MinInterval: time.Nanosecond}, col, NewHistory(16))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -3,12 +3,14 @@ package telemetry
 import (
 	"sync"
 	"time"
+
+	"resemble/internal/flatmap"
 )
 
-// Metrics history: a fixed-size ring of periodic registry snapshots,
+// Metrics history: a bounded buffer of periodic registry snapshots,
 // reduced to flat counter/gauge maps (histograms fold to a "<name>.p99"
 // gauge). Both daemons run a sampler over their registry and expose
-// the ring as /metrics/history, and incident bundles embed it so every
+// the buffer as /metrics/history, and incident bundles embed it so every
 // incident carries the minute of metrics that preceded it. A nil
 // *History is a valid disabled sampler: Record and Samples no-op.
 
@@ -26,25 +28,25 @@ type HistorySample struct {
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }
 
-// History is the bounded sample ring.
+// History is the bounded sample buffer: it keeps the newest cap
+// samples.
 type History struct {
-	mu   sync.Mutex
-	buf  []HistorySample
-	head int // index of the oldest sample once the ring is full
-	n    int
+	mu  sync.Mutex
+	buf flatmap.Queue[HistorySample]
+	cap int
 }
 
-// NewHistory builds a ring holding up to capacity samples
+// NewHistory builds a buffer holding up to capacity samples
 // (DefaultHistorySamples when capacity <= 0).
 func NewHistory(capacity int) *History {
 	if capacity <= 0 {
 		capacity = DefaultHistorySamples
 	}
-	return &History{buf: make([]HistorySample, capacity)}
+	return &History{cap: capacity}
 }
 
 // Record reduces snap into one sample at now, evicting the oldest
-// sample when the ring is full. Nil-safe.
+// sample when the buffer is full. Nil-safe.
 func (h *History) Record(now time.Time, snap RegistrySnapshot) {
 	if h != nil {
 		h.record(now, snap)
@@ -69,13 +71,7 @@ func (h *History) record(now time.Time, snap RegistrySnapshot) {
 		}
 	}
 	h.mu.Lock()
-	if h.n < len(h.buf) {
-		h.buf[(h.head+h.n)%len(h.buf)] = s
-		h.n++
-	} else {
-		h.buf[h.head] = s
-		h.head = (h.head + 1) % len(h.buf)
-	}
+	h.buf.PushBounded(s, h.cap)
 	h.mu.Unlock()
 }
 
@@ -87,22 +83,15 @@ func (h *History) Samples() []HistorySample {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.n == 0 {
-		return nil
-	}
-	out := make([]HistorySample, h.n)
-	for i := 0; i < h.n; i++ {
-		out[i] = h.buf[(h.head+i)%len(h.buf)]
-	}
-	return out
+	return append([]HistorySample(nil), h.buf.Live()...)
 }
 
-// Cap returns the ring capacity (0 for nil).
+// Cap returns the buffer capacity (0 for nil).
 func (h *History) Cap() int {
 	if h == nil {
 		return 0
 	}
-	return len(h.buf)
+	return h.cap
 }
 
 // Len returns the number of retained samples (0 for nil).
@@ -116,7 +105,7 @@ func (h *History) Len() int {
 func (h *History) size() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.n
+	return h.buf.Len()
 }
 
 // SpanMS returns the wall-clock time covered by the retained samples
@@ -127,9 +116,9 @@ func (h *History) SpanMS() int64 {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.n < 2 {
+	live := h.buf.Live()
+	if len(live) < 2 {
 		return 0
 	}
-	newest := h.buf[(h.head+h.n-1)%len(h.buf)].TMS
-	return newest - h.buf[h.head].TMS
+	return live[len(live)-1].TMS - live[0].TMS
 }

@@ -15,8 +15,8 @@ package telemetry
 // merge order, but not bit-identical to single-stream accumulation).
 
 // Child returns an isolated in-memory collector for one concurrent
-// run. It inherits the parent's window size, sampling rate and ring
-// capacity but opens no files and writes to no external sinks; every
+// run. It inherits the parent's window size and sampling rates but
+// opens no files and writes to no external sinks; every
 // window snapshot and every sampled event is retained so Merge can
 // replay them into the parent. Child of a nil collector is nil (the
 // disabled path stays disabled).
@@ -27,7 +27,6 @@ func (c *Collector) Child() *Collector {
 	ch, err := New(Config{
 		WindowSize:  c.cfg.WindowSize,
 		TraceSample: c.cfg.TraceSample,
-		RingSize:    c.cfg.RingSize,
 		KeepWindows: true,
 		// Children never drop observability records: the parent applies
 		// its own caps when the child merges back in.
@@ -62,7 +61,7 @@ func (c *Collector) Child() *Collector {
 // written through the parent's sinks (and kept when KeepWindows is
 // set), manifest run entries are appended, registry instruments are
 // combined, and the child's sampled events are replayed into the
-// parent's ring and trace sinks without re-sampling. Call it from one
+// parent's trace sinks without re-sampling. Call it from one
 // goroutine at a time, in the order the runs would have executed
 // serially; the child must be done (no concurrent writers).
 func (c *Collector) Merge(ch *Collector) {
@@ -98,8 +97,8 @@ func (c *Collector) Merge(ch *Collector) {
 	// (derived from parent/track/name/ordinal on the child), so merged
 	// records are the ones a serial execution would have produced.
 	ch.obsMu.Lock()
-	spans := append([]SpanRecord(nil), ch.spans...)
-	decisions := append([]Decision(nil), ch.decisions...)
+	spans := append([]SpanRecord(nil), ch.spans.Live()...)
+	decisions := append([]Decision(nil), ch.decisions.Live()...)
 	explainN := ch.explainN
 	rootSeq := make(map[string]uint64, len(ch.rootSeq))
 	for k, v := range ch.rootSeq {
@@ -121,20 +120,9 @@ func (c *Collector) Merge(ch *Collector) {
 			c.rootSeq[k] = v // adopt the child's track advance (see Child)
 		}
 	}
-	c.obsMu.Unlock()
 	for _, d := range decisions {
-		c.obsMu.Lock()
-		if c.decEnc != nil {
-			_ = c.decEnc.Encode(d)
-		}
-		if c.decCap > 0 && len(c.decisions) >= c.decCap {
-			n := copy(c.decisions, c.decisions[len(c.decisions)/2:])
-			c.decisions = c.decisions[:n]
-		}
-		c.decisions = append(c.decisions, d)
-		c.obsMu.Unlock()
+		c.keepDecision(d)
 	}
-	c.obsMu.Lock()
 	c.explainN = explainN
 	c.obsMu.Unlock()
 }
@@ -227,13 +215,6 @@ func (h *Histogram) merge(o *Histogram) {
 		h.stride = stride
 	}
 	h.samples = append(h.samples, samples...)
-	for len(h.samples) >= histCap {
-		keep := h.samples[:0]
-		for i := 0; i < len(h.samples); i += 2 {
-			keep = append(keep, h.samples[i])
-		}
-		h.samples = keep
-		h.stride *= 2
-	}
+	h.thin()
 	h.mu.Unlock()
 }

@@ -41,7 +41,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		}
 	})
 	b.Run("trace-sampled-64", func(b *testing.B) {
-		tr := NewTracer(64, 4096)
+		tr := NewTracer(64)
 		e := Event{Kind: KindHit}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

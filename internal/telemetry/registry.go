@@ -119,16 +119,22 @@ func (h *Histogram) Observe(v float64) {
 	if h.seen >= h.stride {
 		h.seen = 0
 		h.samples = append(h.samples, v)
-		if len(h.samples) >= histCap {
-			keep := h.samples[:0]
-			for i := 0; i < len(h.samples); i += 2 {
-				keep = append(keep, h.samples[i])
-			}
-			h.samples = keep
-			h.stride *= 2
-		}
+		h.thin()
 	}
 	h.mu.Unlock()
+}
+
+// thin halves the reservoir, keeping every other sample, and doubles
+// the stride until the reservoir is under histCap. Callers hold mu.
+func (h *Histogram) thin() {
+	for len(h.samples) >= histCap {
+		keep := h.samples[:0]
+		for i := 0; i < len(h.samples); i += 2 {
+			keep = append(keep, h.samples[i])
+		}
+		h.samples = keep
+		h.stride *= 2
+	}
 }
 
 // HistogramSnapshot is a point-in-time view of a Histogram.

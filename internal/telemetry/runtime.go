@@ -11,8 +11,7 @@ import (
 // scheduler and GC-latency gauges into a Registry. The latency
 // distributions (/gc/pauses, /sched/latencies) arrive as cumulative
 // Float64Histograms; they are reduced to p50/p90/p99/max gauges by
-// walking the bucket counts, which is what dashboards and the service
-// auto-capture thresholds actually consume.
+// walking the bucket counts, which is what dashboards consume.
 
 // runtimeGaugeNames maps runtime/metrics counters to registry gauge
 // names (scalar metrics only; histograms are handled separately).
@@ -111,8 +110,7 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 }
 
 // AllocRateSample is one reading of the cumulative process allocation
-// counters, used by callers (the service auto-capture monitor) to
-// compute allocation rates between two samples.
+// counters; the allocation-budget tests diff two samples.
 type AllocRateSample struct {
 	Bytes   uint64
 	Objects uint64

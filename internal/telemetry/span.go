@@ -218,20 +218,15 @@ func (s *Span) StartUS() float64 {
 
 func durUS(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// addSpan retains one finished span, dropping the oldest half when the
-// cap is reached (bounding a long-running service's memory). Records
-// without an explicit process label inherit the collector's.
+// addSpan retains one finished span, keeping the newest SpanCap
+// (bounding a long-running service's memory). Records without an
+// explicit process label inherit the collector's.
 func (c *Collector) addSpan(r SpanRecord) {
 	c.obsMu.Lock()
 	if r.Proc == "" {
 		r.Proc = c.proc
 	}
-	if c.spanCap > 0 && len(c.spans) >= c.spanCap {
-		n := copy(c.spans, c.spans[len(c.spans)/2:])
-		c.spanDrops += uint64(len(c.spans) - n)
-		c.spans = c.spans[:n]
-	}
-	c.spans = append(c.spans, r)
+	c.spanDrops += uint64(c.spans.PushBounded(r, c.cfg.SpanCap))
 	c.obsMu.Unlock()
 }
 
@@ -243,7 +238,7 @@ func (c *Collector) Spans() []SpanRecord {
 	}
 	c.obsMu.Lock()
 	defer c.obsMu.Unlock()
-	return append([]SpanRecord(nil), c.spans...)
+	return append([]SpanRecord(nil), c.spans.Live()...)
 }
 
 // SpanDrops reports how many spans the retention cap discarded.

@@ -35,7 +35,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	r.Counter("x").Inc() // must not panic
 	var tr *Tracer
 	tr.Trace(Event{})
-	if tr.Seen() != 0 || tr.Ring() != nil || tr.Close() != nil {
+	if tr.Seen() != 0 || tr.Close() != nil {
 		t.Error("nil tracer misbehaved")
 	}
 	var col *Collector
@@ -114,7 +114,7 @@ func TestHistogramDecimationBoundedAndDeterministic(t *testing.T) {
 }
 
 func TestTracerSampling(t *testing.T) {
-	tr := NewTracer(4, 8)
+	tr := NewTracer(4)
 	sampled := &MemorySink{}
 	full := &MemorySink{}
 	tr.AddSink(sampled, false)
@@ -140,25 +140,8 @@ func TestTracerSampling(t *testing.T) {
 	}
 }
 
-func TestTracerRingWraps(t *testing.T) {
-	tr := NewTracer(1, 4)
-	for i := 1; i <= 6; i++ {
-		tr.Trace(Event{Seq: uint64(i)})
-	}
-	ring := tr.Ring()
-	if len(ring) != 4 {
-		t.Fatalf("ring len = %d, want 4", len(ring))
-	}
-	// Chronological order of the last 4 events: 3, 4, 5, 6.
-	for i, e := range ring {
-		if want := uint64(i + 3); e.Seq != want {
-			t.Errorf("ring[%d].Seq = %d, want %d", i, e.Seq, want)
-		}
-	}
-}
-
 func TestTracerDisabledSamplePath(t *testing.T) {
-	tr := NewTracer(0, 4)
+	tr := NewTracer(0)
 	sampled := &MemorySink{}
 	full := &MemorySink{}
 	tr.AddSink(sampled, false)
@@ -167,7 +150,7 @@ func TestTracerDisabledSamplePath(t *testing.T) {
 	if len(full.Events()) != 1 {
 		t.Error("full sink starved with sampling disabled")
 	}
-	if len(sampled.Events()) != 0 || len(tr.Ring()) != 0 {
+	if len(sampled.Events()) != 0 {
 		t.Error("sampled path active despite sample=0")
 	}
 }

@@ -1,31 +1,25 @@
 package telemetry
 
-// Tracer fans traced events out to a bounded in-memory ring and to
-// registered sinks. Sampling is deterministic 1-in-N by arrival order
-// (not random), so traces of identical runs are byte-identical — a
-// property the determinism regression test relies on. Sinks registered
-// full-rate (the -pref dump, reward bookkeeping) bypass sampling; the
-// ring and sampled sinks see every N-th event.
+// Tracer fans traced events out to registered sinks. Sampling is
+// deterministic 1-in-N by arrival order (not random), so traces of
+// identical runs are byte-identical — a property the determinism
+// regression test relies on. Sinks registered full-rate (the -pref
+// dump, reward bookkeeping) bypass sampling; sampled sinks see every
+// N-th event.
 type Tracer struct {
-	sample   uint64 // 1-in-N; 0 disables the sampled path entirely
-	n        uint64 // events seen
-	ring     []Event
-	ringNext int
-	ringWrap bool
-	sampled  []Sink
-	full     []Sink
+	sample  uint64 // 1-in-N; 0 disables the sampled path entirely
+	n       uint64 // events seen
+	sampled []Sink
+	full    []Sink
 }
 
-// NewTracer builds a tracer with the given 1-in-N sampling rate and
-// ring capacity. sample <= 0 disables the sampled path (full-rate
-// sinks still receive everything); ringSize <= 0 disables the ring.
-func NewTracer(sample, ringSize int) *Tracer {
+// NewTracer builds a tracer with the given 1-in-N sampling rate.
+// sample <= 0 disables the sampled path (full-rate sinks still receive
+// everything).
+func NewTracer(sample int) *Tracer {
 	t := &Tracer{}
 	if sample > 0 {
 		t.sample = uint64(sample)
-	}
-	if ringSize > 0 {
-		t.ring = make([]Event, ringSize)
 	}
 	return t
 }
@@ -59,30 +53,7 @@ func (t *Tracer) Trace(e Event) {
 	if t.n%t.sample != 0 {
 		return
 	}
-	if t.ring != nil {
-		t.ring[t.ringNext] = e
-		t.ringNext++
-		if t.ringNext == len(t.ring) {
-			t.ringNext = 0
-			t.ringWrap = true
-		}
-	}
-	for _, s := range t.sampled {
-		_ = s.WriteEvent(e)
-	}
-}
-
-// Ring returns the retained sampled events in chronological order.
-func (t *Tracer) Ring() []Event {
-	if t == nil || t.ring == nil {
-		return nil
-	}
-	if !t.ringWrap {
-		return append([]Event(nil), t.ring[:t.ringNext]...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.ringNext:]...)
-	return append(out, t.ring[:t.ringNext]...)
+	t.replay(e)
 }
 
 // beginRun restarts the deterministic sampling phase, making the
@@ -93,20 +64,12 @@ func (t *Tracer) beginRun() {
 	}
 }
 
-// replay feeds one already-sampled event to the ring and the sampled
-// sinks without re-sampling — used when merging a child collector's
-// retained selection into a parent.
+// replay feeds one already-sampled event to the sampled sinks without
+// re-sampling — also used when merging a child collector's retained
+// selection into a parent.
 func (t *Tracer) replay(e Event) {
 	if t == nil {
 		return
-	}
-	if t.ring != nil {
-		t.ring[t.ringNext] = e
-		t.ringNext++
-		if t.ringNext == len(t.ring) {
-			t.ringNext = 0
-			t.ringWrap = true
-		}
 	}
 	for _, s := range t.sampled {
 		_ = s.WriteEvent(e)

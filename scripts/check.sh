@@ -23,7 +23,8 @@ echo "== zero-alloc hot-path guards (race-enabled quick gate) =="
 # with the real four arms) and fixed-point and float forward must not
 # allocate, and Requantize must refresh parameters in place. Checkpoint bytes must
 # not depend on map iteration order: two identical runs give identical
-# blobs (the artifact store names them by hash). A service worker reuses
+# blobs, with or without a telemetry collector attached (the artifact
+# store names them by hash). A service worker reuses
 # its prefetcher arms and ensemble controllers across requests, and a
 # run its simulator (DESIGN.md §9, §13): every arm's Reset must leave it
 # byte-identical to a new one, and a warm request (source construction
@@ -59,9 +60,13 @@ echo "== flight recorder + metrics history + trace stitching (race-enabled quick
 # history sampling, cross-process span stitching, and the jobs=1 vs
 # jobs=N stitched span-tree equality contract. RouteContract runs the
 # shared operator surface's routes against both daemons, so a route
-# one daemon breaks fails here by name.
-go test -race -count 1 -run 'FlightRecorder|MetricsHistory|AnchorSpans|AdoptSpans|SpanRefHeader' ./internal/telemetry/
-go test -race -count 1 -run 'Stitched|Incident|FleetBundle|HedgeOutcome|MetricsHistory|RouteContract' ./internal/cluster/
+# one daemon breaks fails here by name. Every bounded debug buffer
+# (history, recorder events and incidents, spans, decisions, profile
+# captures, fleet bundles) keeps exactly its newest records, and the
+# collector's checkpoint section must be byte-deterministic, load in
+# the older map format, and never panic on stored bytes.
+go test -race -count 1 -run 'FlightRecorder|MetricsHistory|AnchorSpans|AdoptSpans|SpanRefHeader|FuzzCollectorLoadState|TestResumeFromParentFormatTelemetry' ./internal/telemetry/
+go test -race -count 1 -run 'Stitched|Incident|FleetBundle|HedgeOutcome|MetricsHistory|RouteContract|TestRetentionKeepsNewest' ./internal/cluster/
 go test -race -count 1 -run 'Incident|MetricsHistory|InboundTraceContext' ./internal/service/
 
 echo "== go test -race (parallel engine, trace cache) =="
@@ -105,9 +110,6 @@ done
 
 echo "== disabled-telemetry overhead budget (counters, trace, spans, explain, flight recorder, metrics history) =="
 go test -run DisabledHotPath -count 1 ./internal/telemetry/
-
-echo "== profiling round-trip (real allocs profile through pprofparse) =="
-go test -run TestAllocsProfileRoundTrip -count 1 ./internal/pprofparse/
 
 echo "== soak smoke (resembled chaos/soak harness, self-validated chrome trace) =="
 tracetmp=$(mktemp -d)
