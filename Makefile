@@ -22,25 +22,27 @@ bench:
 fmt:
 	gofmt -w .
 
-# Chaos/soak harness: boots service instances, injects faults, asserts
-# degradation + recovery + clean drain + no goroutine leaks (DESIGN.md §9).
+# Service chaos suite: the race-enabled internal/service tests that own
+# what the soak harness once asserted: zero-fault batch equivalence with
+# a validating Chrome trace, stuck arm -> breaker trip -> incident,
+# shedding with /readyz and service_ready flipping 1 -> 0 -> 1, breaker
+# recovery, clean drains, and no leaked goroutines (DESIGN.md §9).
 soak:
-	$(GO) run ./cmd/resembled -soak
+	$(GO) test -race -count 1 -run 'Chaos|Drain|GoroutineLeak|HappyPathMatchesBatch|PprofLifecycle|PhaseAllocCounters|ProfileCaptureEndpoint|IncidentEndpoints|MetricsHistoryEndpoint' ./internal/service/
 
-# Cluster chaos harness: 3 in-process backends behind a resemblefront
-# coordinator; kills/wedges/restarts backends mid-stream and asserts
-# failover, hedging, readmission, ordered drain, zero lost requests and
-# byte-identical merged telemetry (DESIGN.md §12). Includes the durable
-# store phases (DESIGN.md §14): a run killed mid-flight resumes from its
-# last checkpoint on the next ring backend with byte-identical windows,
-# and every store-corruption arm is detected and quarantined.
+# Cluster chaos suite: the race-enabled internal/cluster tests for
+# failover, kill-mid-run resume with a stitched trace and a failover
+# bundle, hedging, ejection and readmission, ordered drain, zero lost
+# requests, fleet windows byte-identical to a single instance, and no
+# leaked goroutines (DESIGN.md §12, §14).
 cluster-soak:
-	$(GO) run -race ./cmd/resemblefront -soak
+	$(GO) test -race -count 1 -run 'Failover|Hedge|Health|Drain|Fleet|GoroutineLeak' ./internal/cluster/
 
-# Incident flight-recorder demo: the cluster chaos harness with artifact
-# capture. Fails unless the kill phase produced a fleet incident bundle
-# with a failover trigger and a stitched cross-process Chrome trace that
-# validates (DESIGN.md §15). ARTIFACTS=DIR keeps the artifacts.
+# Incident flight-recorder demo: resemblefront -soak kills a run
+# mid-flight and wedges a backend, then writes the fleet bundles and
+# stitched Chrome traces. Fails unless the kill phase produced a bundle
+# with a failover trigger and every artifact exists (DESIGN.md §15).
+# ARTIFACTS=DIR keeps the artifacts.
 incident-demo:
 	sh scripts/incident_demo.sh $(ARTIFACTS)
 

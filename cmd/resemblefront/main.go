@@ -19,28 +19,21 @@
 // in-flight requests finish, and with -drain-backends the fleet is
 // quiesced in address order.
 //
-// Soak mode:
+// Incident demo:
 //
-//	resemblefront -soak -soak.duration 10s
+//	resemblefront -soak -soak.artifacts DIR
 //
-// runs the cluster chaos harness: three in-process backends behind a
-// front door sharing one artifact store, a determinism phase (merged
-// windows byte-identical to a single instance), a chaos phase (one
-// backend killed mid-stream — failover, ejection, restart,
-// readmission; one backend killed mid-run — the failover resumes the
-// run from its durable checkpoint on the next ring backend; one
-// backend wedged — hedges fire), a drain audit (ordered quiesce, zero
-// lost accepted requests, resumed runs byte-identical to a serial
-// replay, no leaked goroutines), and a store-corruption audit
-// (bit-flipped, truncated, torn-temp and index-dropped artifacts all
-// detected, never served, quarantined or repaired). Any violated
-// assertion exits nonzero.
+// boots three in-process backends on a shared artifact store behind a
+// front door, kills a run's owner mid-flight and wedges a backend, and
+// writes the failover and wedge incident bundles and their stitched
+// cross-process Chrome traces into DIR (`make incident-demo`). The
+// cluster contracts themselves are pinned by the tests of
+// internal/cluster.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -71,8 +64,6 @@ type options struct {
 	telDir        string
 	logLevel      string
 	soak          bool
-	soakFor       time.Duration
-	soakAccesses  int
 	soakArtifacts string
 }
 
@@ -97,10 +88,8 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.storeDir, "store-dir", "", "shared artifact store root (the same local-filesystem path the backends use; processes coordinate through an advisory lock in it); failover retries resume interrupted runs from its checkpoints (empty = scratch retries)")
 	fs.StringVar(&o.telDir, "telemetry", "", "merged telemetry output directory (empty = off)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured logging on stderr (debug|info|warn|error; empty disables)")
-	fs.BoolVar(&o.soak, "soak", false, "run the cluster chaos harness instead of serving")
-	fs.DurationVar(&o.soakFor, "soak.duration", 10*time.Second, "approximate soak length")
-	fs.IntVar(&o.soakAccesses, "soak.accesses", 4000, "trace length per soak request")
-	fs.StringVar(&o.soakArtifacts, "soak.artifacts", "", "directory for soak incident bundles and stitched Chrome traces (empty = none)")
+	fs.BoolVar(&o.soak, "soak", false, "write the incident-demo artifacts to -soak.artifacts instead of serving")
+	fs.StringVar(&o.soakArtifacts, "soak.artifacts", "", "directory for the incident demo's bundles and stitched Chrome traces")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -108,6 +97,9 @@ func parseFlags(args []string) (options, error) {
 		if b = strings.TrimSpace(b); b != "" {
 			o.backends = append(o.backends, b)
 		}
+	}
+	if o.soak && o.soakArtifacts == "" {
+		return o, fmt.Errorf("-soak needs -soak.artifacts")
 	}
 	if !o.soak && len(o.backends) == 0 {
 		return o, fmt.Errorf("-backends is required (comma-separated host:port list)")
@@ -128,26 +120,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	logger, err := buildLogger(o.logLevel)
+	logger, err := telemetry.NewLogger(os.Stderr, o.logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resemblefront: %v\n", err)
 		os.Exit(1)
 	}
 
 	if o.soak {
-		if o.soakArtifacts != "" {
-			if err := os.MkdirAll(o.soakArtifacts, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "resemblefront: -soak.artifacts: %v\n", err)
-				os.Exit(1)
-			}
+		if err := os.MkdirAll(o.soakArtifacts, 0o755); err == nil {
+			err = runIncidentDemo(o.soakArtifacts, logf)
 		}
-		os.Exit(runClusterSoak(clusterSoakConfig{
-			duration:     o.soakFor,
-			accesses:     o.soakAccesses,
-			hedgeAfter:   o.hedgeAfter,
-			artifactsDir: o.soakArtifacts,
-			logf:         logf,
-		}))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "resemblefront: incident demo: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	var tel *telemetry.Collector
@@ -230,16 +217,4 @@ func main() {
 
 func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
-
-// buildLogger mirrors resembled's: text slog on stderr, or discard.
-func buildLogger(level string) (*slog.Logger, error) {
-	if level == "" {
-		return slog.New(slog.DiscardHandler), nil
-	}
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: want debug|info|warn|error", level)
-	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
 }

@@ -61,15 +61,24 @@ func TestParseFlagsRejects(t *testing.T) {
 	}
 }
 
+// TestParseFlagsSoakNeedsNoBackends: the incident demo boots its own
+// fleet, so -soak needs only an artifacts directory; the soak length
+// and trace-length flags are gone.
 func TestParseFlagsSoakNeedsNoBackends(t *testing.T) {
-	o, err := parseFlags([]string{"-soak", "-soak.duration", "3s", "-soak.artifacts", "/tmp/incidents"})
+	o, err := parseFlags([]string{"-soak", "-soak.artifacts", "/tmp/incidents"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.soak || o.soakFor != 3*time.Second {
-		t.Fatalf("soak=%v soakFor=%v, want true/3s", o.soak, o.soakFor)
+	if !o.soak || o.soakArtifacts != "/tmp/incidents" {
+		t.Fatalf("soak=%v soakArtifacts=%q, want true and /tmp/incidents", o.soak, o.soakArtifacts)
 	}
-	if o.soakArtifacts != "/tmp/incidents" {
-		t.Fatalf("soakArtifacts = %q, want /tmp/incidents", o.soakArtifacts)
+	for _, args := range [][]string{
+		{"-soak"}, // nowhere to write the artifacts
+		{"-soak", "-soak.artifacts", "/tmp/incidents", "-soak.duration", "3s"},
+		{"-soak", "-soak.artifacts", "/tmp/incidents", "-soak.accesses", "2000"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("parseFlags(%v) succeeded, want error", args)
+		}
 	}
 }

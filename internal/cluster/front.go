@@ -243,10 +243,10 @@ func (f *Front) Addr() string {
 // State returns the lifecycle position (service.State semantics).
 func (f *Front) State() service.State { return service.State(f.state.Load()) }
 
-// Health exposes the prober for soak/test assertions.
+// Health exposes the prober for in-process assertions.
 func (f *Front) Health() *Health { return f.health }
 
-// Ring exposes the routing ring for soak/test assertions.
+// Ring exposes the routing ring for in-process assertions.
 func (f *Front) Ring() *Ring { return f.ring }
 
 // Start binds the listener, launches the HTTP server and the health

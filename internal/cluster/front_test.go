@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"resemble/internal/resilience"
 	"resemble/internal/service"
 	"resemble/internal/telemetry"
 )
@@ -212,7 +213,8 @@ func TestFrontFailover(t *testing.T) {
 }
 
 // TestFrontConnectFailover: a refused connection (killed backend)
-// fails over the same way a 5xx does.
+// fails over the same way a 5xx does, and once the prober ejects the
+// dead backend the fleet /metrics counts it under its backend label.
 func TestFrontConnectFailover(t *testing.T) {
 	f, fakes := testFleet(t, 3, nil)
 	req := runReq("433.milc", 13)
@@ -226,6 +228,17 @@ func TestFrontConnectFailover(t *testing.T) {
 	if f.Stats().Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", f.Stats().Failovers)
 	}
+	waitFor(t, "ejection", func() bool { return f.Health().Breaker(seq[0]).State() == resilience.Open })
+	samples, err := telemetry.ParsePrometheus(strings.NewReader(scrapeMetrics(t, f)))
+	if err != nil {
+		t.Fatalf("fleet /metrics exposition: %v", err)
+	}
+	for _, smp := range samples {
+		if smp.Name == "cluster_backend_ejections_total" && smp.Labels["backend"] == seq[0] && smp.Value >= 1 {
+			return
+		}
+	}
+	t.Fatalf("fleet /metrics has no cluster_backend_ejections_total{backend=%q} >= 1", seq[0])
 }
 
 // TestFrontTerminalClientError: a 4xx from a backend is authoritative
@@ -263,9 +276,14 @@ func TestFrontBadRequests(t *testing.T) {
 }
 
 // TestFrontHedge: a silent primary is hedged on the next backend after
-// HedgeAfter and the hedge's answer wins.
+// HedgeAfter and the hedge's answer wins; the launch leaves a "hedge"
+// breadcrumb in the front's flight recorder and a "hedge" span.
 func TestFrontHedge(t *testing.T) {
-	f, fakes := testFleet(t, 3, func(c *Config) { c.HedgeAfter = 25 * time.Millisecond })
+	tel := newKeepCollector(t)
+	f, fakes := testFleet(t, 3, func(c *Config) {
+		c.HedgeAfter = 25 * time.Millisecond
+		c.Telemetry = tel
+	})
 	req := runReq("433.milc", 19)
 	seq := f.Ring().Sequence(RouteKey(req))
 	fakeByAddr(fakes, seq[0]).delay.Store(int64(2 * time.Second))
@@ -285,6 +303,23 @@ func TestFrontHedge(t *testing.T) {
 	if got := fakeByAddr(fakes, seq[1]).served.Load(); got != 1 {
 		t.Fatalf("hedge target served %d, want 1", got)
 	}
+
+	noted := false
+	events := f.ops.Recorder.Snapshot().Events
+	for _, ev := range events {
+		noted = noted || (ev.Kind == "hedge" && ev.Detail == seq[1])
+	}
+	if !noted {
+		t.Errorf("front flight recorder has no hedge breadcrumb for %s: %+v", seq[1], events)
+	}
+	waitFor(t, "hedge span", func() bool {
+		for _, sp := range tel.Spans() {
+			if sp.Name == "hedge" && sp.Proc == "front" {
+				return true
+			}
+		}
+		return false
+	})
 }
 
 // TestFrontShedsOverload: in-flight admission is bounded; excess load

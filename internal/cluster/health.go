@@ -209,8 +209,8 @@ func (h *Health) Report(backend string, ok bool) {
 	}
 }
 
-// Breaker returns the backend's breaker (nil when unknown) — the soak
-// harness asserts ejection/readmission through it.
+// Breaker returns the backend's breaker (nil when unknown), for
+// in-process assertions on ejection and readmission.
 func (h *Health) Breaker(backend string) *resilience.Breaker {
 	bh, ok := h.backends[backend]
 	if !ok {

@@ -17,23 +17,25 @@ import (
 	"resemble/internal/telemetry"
 )
 
-// startBackend starts one real resembled engine (not a fake) so the
-// failover-resume path exercises genuine run checkpoints.
-func startBackend(t *testing.T, store *cas.Store) *service.Service {
+// startBackend starts one real resembled engine (not a fake) with a
+// window-keeping collector; mut adjusts the config before New.
+func startBackend(t *testing.T, mut func(*service.Config)) *service.Service {
 	t.Helper()
 	tel, err := telemetry.New(telemetry.Config{KeepWindows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := service.New(service.Config{
-		Workers:            2,
-		QueueDepth:         8,
-		RequestTimeout:     30 * time.Second,
-		DrainTimeout:       10 * time.Second,
-		Store:              store,
-		RunCheckpointEvery: 1024,
-		Telemetry:          tel,
-	})
+	cfg := service.Config{
+		Workers:        2,
+		QueueDepth:     8,
+		RequestTimeout: 30 * time.Second,
+		DrainTimeout:   10 * time.Second,
+		Telemetry:      tel,
+	}
+	if mut != nil {
+		mut(&cfg)
+	}
+	s, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +51,9 @@ func startBackend(t *testing.T, store *cas.Store) *service.Service {
 // store; the front door's failover retry forwards resume_from, the
 // surviving backend continues the run where it left off, and the final
 // response is byte-identical to an undisturbed single-instance run.
+// The kill is also an incident: the request stitches into one valid
+// cross-process trace without the killed backend's spans, and the
+// failover bundle embeds the survivor's metrics history.
 func TestFrontFailoverResume(t *testing.T) {
 	store, rep, err := cas.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
@@ -57,14 +62,29 @@ func TestFrontFailoverResume(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("fresh store sweep: %v", rep)
 	}
-	b1 := startBackend(t, store)
-	b2 := startBackend(t, store)
+	// History sampled every 50 ms into 1,200 slots: the 60 s retention
+	// of DESIGN.md §15 at a density that shows in a short test.
+	resumable := func(c *service.Config) {
+		c.Store = store
+		c.RunCheckpointEvery = 1024
+		c.HistoryEvery = 50 * time.Millisecond
+		c.HistorySamples = 1200
+	}
+	started := time.Now()
+	b1 := startBackend(t, resumable)
+	b2 := startBackend(t, resumable)
 	byAddr := map[string]*service.Service{b1.Addr(): b1, b2.Addr(): b2}
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := New(Config{
 		Backends:       []string{b1.Addr(), b2.Addr()},
 		Store:          store,
 		RequestTimeout: 60 * time.Second,
 		Probe:          ProbeConfig{Interval: 20 * time.Millisecond},
+		Telemetry:      tel,
+		HistoryEvery:   50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,6 +93,10 @@ func TestFrontFailoverResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = f.Close() })
+
+	// Let the backends' history fill, so the bundle check below has a
+	// window to measure.
+	time.Sleep(time.Until(started.Add(1500 * time.Millisecond)))
 
 	req := service.Request{Workload: "433.milc", Controller: "bo",
 		Accesses: 150000, Seed: 5, ReturnWindows: true}
@@ -122,6 +146,9 @@ func TestFrontFailoverResume(t *testing.T) {
 		t.Fatalf("surviving backend stats = %+v, want exactly 1 warm start", st)
 	}
 
+	checkKillTrace(t, tel, seq[0])
+	checkKillBundle(t, f, seq[0], started)
+
 	// Reference: the identical request against a lone, undisturbed,
 	// storeless backend must produce the same bytes.
 	ref := startBackend(t, nil)
@@ -149,6 +176,84 @@ func TestFrontFailoverResume(t *testing.T) {
 	got.resp.CheckpointID, got.resp.ResumedFrom = "", ""
 	if !reflect.DeepEqual(want, got.resp) {
 		t.Errorf("resumed-elsewhere response differs from single-instance run:\nwant %+v\ngot  %+v", want, got.resp)
+	}
+}
+
+// checkKillTrace: the killed-then-resumed request stitches into one
+// trace holding the front's request, the killed attempt and the resumed
+// attempt, plus the survivor's adopted spans and none from the killed
+// backend, and its Chrome export validates.
+func checkKillTrace(t *testing.T, tel *telemetry.Collector, killed string) {
+	t.Helper()
+	var spans []telemetry.SpanRecord
+	names := map[string]int{}
+	procs := map[string]bool{}
+	// The front's request span ends a hair after the response is out.
+	for deadline := time.Now().Add(5 * time.Second); names["request"] == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		spans = tel.Spans()
+		clear(names)
+		for _, sp := range spans {
+			if sp.Proc == "front" {
+				names[sp.Name]++
+			} else {
+				procs[sp.Proc] = true
+			}
+		}
+	}
+	for _, want := range []string{"request", "attempt", "attempt.resume"} {
+		if names[want] != 1 {
+			t.Errorf("stitched trace has %d front %q spans, want 1 (front spans %v)", names[want], want, names)
+		}
+	}
+	if len(procs) != 1 || procs["backend "+killed] {
+		t.Errorf("stitched trace adopted spans from %v, want the survivor's only (killed %s)", procs, killed)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteChromeTrace(&buf, spans); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateChromeTrace(&buf); err != nil {
+		t.Errorf("stitched kill trace: %v", err)
+	}
+}
+
+// checkKillBundle: the failover assembles a fleet bundle carrying the
+// front's history, a pull error for the killed backend, and each
+// survivor's metrics history over min(30 s, its uptime at the
+// incident), less half a second of sampler slack.
+func checkKillBundle(t *testing.T, f *Front, killed string, started time.Time) {
+	t.Helper()
+	var bundle *FleetIncident
+	for deadline := time.Now().Add(10 * time.Second); bundle == nil; time.Sleep(10 * time.Millisecond) {
+		for _, fi := range f.FleetIncidents() {
+			if fi.Incident.Trigger == "failover" {
+				bundle = &fi
+			}
+		}
+		if bundle == nil && time.Now().After(deadline) {
+			t.Fatal("no failover fleet bundle assembled")
+		}
+	}
+	if len(bundle.Incident.History) == 0 {
+		t.Error("failover bundle carries no front-door metrics history")
+	}
+	if len(bundle.Backends) != 2 || bundle.Backends[killed].Error == "" {
+		t.Errorf("failover bundle backends = %v, want 2 with a pull error for the killed %s", bundle.Backends, killed)
+	}
+	want := min(30*time.Second, time.Duration(bundle.Incident.TMS-started.UnixMilli())*time.Millisecond-500*time.Millisecond)
+	for addr, ring := range bundle.Backends {
+		if addr == killed {
+			continue
+		}
+		if ring.Snapshot == nil || len(ring.Snapshot.History) == 0 {
+			t.Errorf("survivor %s shipped no metrics history (%s)", addr, ring.Error)
+			continue
+		}
+		hist := ring.Snapshot.History
+		if span := time.Duration(hist[len(hist)-1].TMS-hist[0].TMS) * time.Millisecond; span < want {
+			t.Errorf("survivor %s history spans %v, want >= %v", addr, span, want)
+		}
 	}
 }
 

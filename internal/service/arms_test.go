@@ -309,8 +309,8 @@ func TestWarmSourceAllocs(t *testing.T) {
 // each. The budget of
 // 4,096 is broken by two allocations per simulated access, not by one
 // (TestStepSteadyStateZeroAlloc holds the step to zero).
-// ReadAllocCounters counts every object, tiny pointer-free ones packed
-// into a shared 16-byte block included.
+// runtime.MemStats.Mallocs counts every object, tiny pointer-free ones
+// packed into a shared 16-byte block included.
 func TestRequestAllocBudget(t *testing.T) {
 	const (
 		budget   = 4096
@@ -325,7 +325,8 @@ func TestRequestAllocBudget(t *testing.T) {
 	}
 	defer s.Close()
 	body, _ := json.Marshal(Request{Workload: "433.milc", Controller: "resemble-t", Accesses: 2000})
-	start := telemetry.ReadAllocCounters()
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
 	for i := 0; i < requests; i++ {
 		resp, err := http.Post("http://"+s.Addr()+"/v1/run", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -336,7 +337,8 @@ func TestRequestAllocBudget(t *testing.T) {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
 	}
-	if allocs := (telemetry.ReadAllocCounters().Objects - start.Objects) / requests; allocs > budget {
+	runtime.ReadMemStats(&end)
+	if allocs := (end.Mallocs - start.Mallocs) / requests; allocs > budget {
 		t.Errorf("a request allocates %d, budget %d", allocs, budget)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"resemble/internal/trace"
 )
 
-// Chaos injects faults into the serving path for the chaos/soak
-// harness (cmd/resembled -soak and the service chaos tests). Each
+// Chaos injects faults into the serving path for the service chaos
+// tests and the front door's incident demo (resemblefront -soak). Each
 // field targets one dependency the resilience layer is supposed to
 // contain:
 //
@@ -50,7 +50,7 @@ type Chaos struct {
 }
 
 // Stop ends the chaos window: subsequent requests run fault-free,
-// letting the soak harness assert that the service heals (breakers
+// letting the chaos tests assert that the service heals (breakers
 // close, readiness returns).
 func (c *Chaos) Stop() {
 	if c != nil {

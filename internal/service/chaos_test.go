@@ -10,6 +10,7 @@ import (
 
 	"resemble/internal/core"
 	"resemble/internal/resilience"
+	"resemble/internal/telemetry"
 )
 
 // fastMask shrinks the masking operating point so a broken arm trips
@@ -30,14 +31,21 @@ func fastMask(req Request) core.Config {
 // a stuck BO arm is masked by the controller within each run,
 // consecutive masked runs trip BO's circuit breaker, solo BO requests
 // are refused with 503 + Retry-After, and ensembles keep serving with
-// the arm excluded.
+// the arm excluded. The trip is an incident: the flight recorder keeps
+// a bundle with breadcrumbs and the pre-incident metrics history.
 func TestChaosStuckArmTripsBreaker(t *testing.T) {
 	chaos := &Chaos{StuckArm: "bo", FaultSeed: 97}
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := startService(t, func(c *Config) {
 		c.Chaos = chaos
 		c.Workers = 1
 		c.ControllerConfig = fastMask
 		c.Breaker = resilience.BreakerConfig{FailureThreshold: 2, OpenFor: time.Minute}
+		c.Telemetry = tel
+		c.HistoryEvery = 10 * time.Millisecond
 	})
 
 	run := Request{Workload: "433.lbm", Controller: "resemble-t", Accesses: 8000}
@@ -54,6 +62,21 @@ func TestChaosStuckArmTripsBreaker(t *testing.T) {
 	}
 	if st := s.Breaker("bo").State(); st != resilience.Open {
 		t.Fatalf("bo breaker = %v after %d masked runs, want open", st, 2)
+	}
+	var trip *telemetry.Incident
+	for _, inc := range s.ops.Recorder.Incidents() {
+		if inc.Trigger == "breaker.trip" && inc.Detail == "bo" {
+			trip = &inc
+		}
+	}
+	switch {
+	case trip == nil:
+		t.Fatal("no breaker.trip incident for bo")
+	case trip.Process != "resembled "+s.Addr():
+		t.Errorf("breaker.trip process = %q, want %q", trip.Process, "resembled "+s.Addr())
+	case len(trip.Events) == 0 || len(trip.History) == 0:
+		t.Errorf("breaker.trip incident has %d breadcrumbs and %d history samples, want both",
+			len(trip.Events), len(trip.History))
 	}
 
 	// Solo requests for the broken arm are refused, not simulated.
@@ -176,8 +199,9 @@ func TestChaosPanicSupervision(t *testing.T) {
 
 // TestChaosSlowHandlerShedsAndReadyzFlips: with one worker stalled by
 // the slow-handler fault and a one-deep queue, concurrent arrivals are
-// shed with 503 + Retry-After, /readyz flips to 503 while saturated,
-// and both recover when the burst passes.
+// shed with 503 + Retry-After, /readyz and the service_ready gauge on
+// /metrics flip to 503 and 0 while saturated, and both recover when the
+// burst passes.
 func TestChaosSlowHandlerShedsAndReadyzFlips(t *testing.T) {
 	chaos := &Chaos{SlowHandler: 300 * time.Millisecond}
 	s := startService(t, func(c *Config) {
@@ -185,6 +209,9 @@ func TestChaosSlowHandlerShedsAndReadyzFlips(t *testing.T) {
 		c.Workers = 1
 		c.QueueDepth = 1
 	})
+	if g := readyGauge(t, s); g != 1 {
+		t.Fatalf("service_ready = %v before the burst, want 1", g)
+	}
 
 	const burst = 6
 	type outcome struct {
@@ -208,10 +235,13 @@ func TestChaosSlowHandlerShedsAndReadyzFlips(t *testing.T) {
 	}
 
 	// While the burst saturates the queue, readiness must flip.
-	sawUnready := false
-	for j := 0; j < 50 && !sawUnready; j++ {
+	sawUnready, sawGaugeZero := false, false
+	for j := 0; j < 50 && !(sawUnready && sawGaugeZero); j++ {
 		if getStatus(t, s, "/readyz") == http.StatusServiceUnavailable {
 			sawUnready = true
+		}
+		if readyGauge(t, s) == 0 {
+			sawGaugeZero = true
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -237,6 +267,9 @@ func TestChaosSlowHandlerShedsAndReadyzFlips(t *testing.T) {
 	if !sawUnready {
 		t.Fatal("readyz never flipped to 503 under saturation")
 	}
+	if !sawGaugeZero {
+		t.Fatal("service_ready never dropped to 0 under saturation")
+	}
 	if got := s.Stats().Shed; got == 0 {
 		t.Fatal("shed counter not incremented")
 	}
@@ -250,6 +283,31 @@ func TestChaosSlowHandlerShedsAndReadyzFlips(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	if g := readyGauge(t, s); g != 1 {
+		t.Fatalf("service_ready = %v after recovery, want 1", g)
+	}
+}
+
+// readyGauge scrapes /metrics, which must parse, and returns the
+// service_ready gauge.
+func readyGauge(t *testing.T, s *Service) float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + s.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := telemetry.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("/metrics exposition: %v", err)
+	}
+	for _, smp := range samples {
+		if smp.Name == "service_ready" {
+			return smp.Value
+		}
+	}
+	t.Fatal("/metrics has no service_ready gauge")
+	return 0
 }
 
 // TestRequestDeadlinePropagates: a request that cannot finish inside

@@ -24,9 +24,9 @@
 //     the incident flight recorder.
 //
 // On the happy path the resilience layer is observation-only: a
-// zero-fault soak produces telemetry window output byte-identical to
-// the equivalent batch sim.Runner invocation (pinned by
-// TestServiceHappyPathMatchesBatch).
+// zero-fault request stream produces telemetry window output
+// byte-identical to the equivalent batch sim.Runner invocation (pinned
+// by TestServiceHappyPathMatchesBatch).
 package service
 
 import (
@@ -105,8 +105,8 @@ type Config struct {
 	// ControllerConfig, when non-nil, overrides the ensemble controller
 	// configuration derived for a request (the default is the batch
 	// experiment configuration plus the robustness fault-matrix masking
-	// operating point). Tests and soak harnesses use it to shrink the
-	// masking windows so degradation trips quickly.
+	// operating point). The chaos tests use it to shrink the masking
+	// windows so degradation trips quickly.
 	ControllerConfig func(Request) core.Config
 	// Traces overrides the trace cache (nil = trace.Shared()).
 	Traces *trace.Cache
@@ -473,8 +473,8 @@ func (s *Service) State() State { return State(s.state.Load()) }
 // Config.PprofAddr is unset or before Start).
 func (s *Service) PprofAddr() string { return s.pprofAddr }
 
-// Breaker returns the named arm's breaker (nil when unknown) — used
-// by the in-process soak assertions.
+// Breaker returns the named arm's breaker (nil when unknown), for
+// in-process assertions on trips and recovery.
 func (s *Service) Breaker(arm string) *resilience.Breaker { return s.breakers[arm] }
 
 // ready mirrors the /readyz decision: admitting and not saturated.

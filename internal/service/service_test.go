@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func getStatus(t *testing.T, s *Service, path string) int {
 }
 
 // TestServiceHappyPathMatchesBatch pins the acceptance criterion: a
-// zero-fault service soak produces telemetry window output
+// zero-fault request stream produces telemetry window output
 // byte-identical to the equivalent batch sim.Runner invocation over
 // the same (workload, controller) sequence.
 func TestServiceHappyPathMatchesBatch(t *testing.T) {
@@ -80,7 +81,10 @@ func TestServiceHappyPathMatchesBatch(t *testing.T) {
 		{Workload: "471.omnetpp", Controller: "sbp-e", Accesses: 3000},
 	}
 
-	svcTel, err := telemetry.New(telemetry.Config{KeepWindows: true})
+	// Spans are recorded and exported, and the served run's Chrome
+	// trace must validate: tracing stays observation-only.
+	chrome := filepath.Join(t.TempDir(), "trace.json")
+	svcTel, err := telemetry.New(telemetry.Config{KeepWindows: true, ChromeOut: chrome})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func TestServiceHappyPathMatchesBatch(t *testing.T) {
 		}
 		// In-run masking may quarantine a genuinely weak arm on a short
 		// trace (that is adaptation, not a fault), but no breaker may
-		// open on a zero-fault soak short of its consecutive-failure
+		// open on a zero-fault stream short of its consecutive-failure
 		// threshold — exclusions would diverge from the batch runner.
 		if len(resp.ExcludedArms) != 0 {
 			t.Fatalf("request %d: zero-fault run excluded arms %v", i, resp.ExcludedArms)
@@ -146,6 +150,12 @@ func TestServiceHappyPathMatchesBatch(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("service windows diverge from batch: %d vs %d windows",
 			len(svcTel.Windows()), len(batchTel.Windows()))
+	}
+	if err := svcTel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateChromeTraceFile(chrome); err != nil {
+		t.Fatalf("served runs' Chrome trace: %v", err)
 	}
 }
 
@@ -431,7 +441,8 @@ func TestServiceRejectsAfterDrainStarts(t *testing.T) {
 // process to its baseline goroutine count.
 func TestServiceNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := startService(t, nil)
+	// The pprof sidecar's serve goroutine must go with the drain too.
+	s := startService(t, func(c *Config) { c.PprofAddr = "127.0.0.1:0" })
 	if status, _ := post(t, s, Request{Workload: "433.milc", Controller: "none", Accesses: 2000}); status != http.StatusOK {
 		t.Fatalf("request: status %d", status)
 	}

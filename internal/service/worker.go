@@ -472,8 +472,8 @@ func (s *Service) noteResumeFallback(from string, err error) {
 // built, never a worker's, so it stays an independent reference for
 // the serving path. A never-started Service with identical
 // configuration serves as the batch reference: its breakers are all
-// closed, so construction matches a serial sim.Runner setup — the
-// soak harness uses this for the byte-identity check.
+// closed, so construction matches a serial sim.Runner setup
+// (perfbench builds its batch runs this way).
 func (s *Service) BuildSource(req Request) (sim.Source, []string, error) {
 	src, _, _, excluded, err := s.buildSource(req)
 	return src, excluded, err

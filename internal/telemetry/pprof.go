@@ -95,7 +95,7 @@ func (e *errorRecordingWriter) Write(p []byte) (int, error) {
 // are reported to the caller, and returns the bound address (useful
 // with ":0") together with the server, whose Shutdown/Close stops the
 // listener and lets the serve goroutine exit (the service drains it;
-// goroutine-leak assertions in the soak harness depend on this).
+// the service's goroutine-leak test depends on this).
 func ServePprof(addr string) (string, *http.Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -108,16 +108,3 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 	}
 	return h.Buckets[len(h.Buckets)-1]
 }
-
-// AllocRateSample is one reading of the cumulative process allocation
-// counters; the allocation-budget tests diff two samples.
-type AllocRateSample struct {
-	Bytes   uint64
-	Objects uint64
-}
-
-// ReadAllocCounters samples the cumulative heap-allocation counters.
-func ReadAllocCounters() AllocRateSample {
-	t := readAllocTick()
-	return AllocRateSample{Bytes: t.bytes, Objects: t.objects}
-}

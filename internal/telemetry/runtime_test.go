@@ -111,8 +111,8 @@ var tinySink *uint64
 
 // TestReadAllocCountersCountTinyObjects: pointer-free objects under
 // 16 B share 16-byte tiny blocks, and each must count as one object,
-// as it does in runtime.MemStats.Mallocs, both in ReadAllocCounters and
-// in a phase's attribution. The counters advance only when a P's
+// as it does in runtime.MemStats.Mallocs, both in readAllocTick and in
+// a phase's attribution. The counters advance only when a P's
 // allocation cache is flushed, which runtime.GC does for every P.
 func TestReadAllocCountersCountTinyObjects(t *testing.T) {
 	const n = 1 << 14
@@ -121,31 +121,33 @@ func TestReadAllocCountersCountTinyObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.GC()
-	a := ReadAllocCounters()
+	a := readAllocTick()
 	sp := tel.StartSpan("t", "tiny")
 	for i := 0; i < n; i++ {
 		tinySink = new(uint64)
 	}
 	runtime.GC()
 	sp.End()
-	b := ReadAllocCounters()
-	if got := b.Objects - a.Objects; got < n {
-		t.Errorf("ReadAllocCounters counts %d objects for %d tiny allocations", got, n)
+	b := readAllocTick()
+	if got := b.objects - a.objects; got < n {
+		t.Errorf("readAllocTick counts %d objects for %d tiny allocations", got, n)
 	}
 	if pas := tel.PhaseAllocs(); len(pas) != 1 || pas[0].AllocObjects < n {
 		t.Errorf("phase attribution for %d tiny allocations: %+v", n, pas)
 	}
 }
 
+// TestReadAllocCounters: readAllocTick's cumulative counters advance
+// by at least what a 1 MiB allocation adds.
 func TestReadAllocCounters(t *testing.T) {
-	a := ReadAllocCounters()
+	a := readAllocTick()
 	buf := make([]byte, 1<<20)
-	b := ReadAllocCounters()
+	b := readAllocTick()
 	runtime.KeepAlive(buf)
-	if b.Bytes-a.Bytes < 1<<20 {
-		t.Errorf("alloc delta = %d bytes, want >= 1MiB", b.Bytes-a.Bytes)
+	if b.bytes-a.bytes < 1<<20 {
+		t.Errorf("alloc delta = %d bytes, want >= 1MiB", b.bytes-a.bytes)
 	}
-	if b.Objects <= a.Objects {
-		t.Errorf("object counter did not advance: %d -> %d", a.Objects, b.Objects)
+	if b.objects <= a.objects {
+		t.Errorf("object counter did not advance: %d -> %d", a.objects, b.objects)
 	}
 }

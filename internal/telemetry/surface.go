@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"time"
 )
@@ -246,4 +249,19 @@ func WriteUnavailable(w http.ResponseWriter, reason, msg string) {
 		Reason string `json:"reason"`
 		Error  string `json:"error,omitempty"`
 	}{"unavailable", reason, msg})
+}
+
+// NewLogger builds a daemon's structured logger from its -log-level
+// flag: a text slog handler on w at that level, or a discard logger
+// when level is empty. Both daemons tag every request record with its
+// seq and root span ID, correlating logs with the span trace.
+func NewLogger(w io.Writer, level string) (*slog.Logger, error) {
+	if level == "" {
+		return slog.New(slog.DiscardHandler), nil
+	}
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: want debug|info|warn|error", level)
+	}
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lv})), nil
 }

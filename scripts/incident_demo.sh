@@ -1,12 +1,13 @@
 #!/bin/sh
-# incident_demo.sh — end-to-end incident flight-recorder demo. Runs the
-# cluster chaos harness with artifact capture and fails unless the
+# incident_demo.sh — end-to-end incident flight-recorder demo. Runs
+# resemblefront's incident demo (race-enabled) and fails unless the
 # kill/failover phase emitted a fleet incident bundle with a failover
 # trigger and a stitched cross-process Chrome trace, and the wedge
 # phase emitted its manual-capture counterparts (DESIGN.md §15). The
-# harness validates each stitched trace before it writes the file and
-# exits non-zero when one is invalid. Usage: scripts/incident_demo.sh [artifacts-dir] (a scratch dir
-# is used and cleaned up when none is given), or `make incident-demo`.
+# demo validates each stitched trace before it writes the file and
+# exits non-zero when it cannot produce an artifact. Usage:
+# scripts/incident_demo.sh [artifacts-dir] (a scratch dir is used and
+# cleaned up when none is given), or `make incident-demo`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -17,8 +18,7 @@ if [ -z "$dir" ]; then
     trap 'rm -rf "$dir"' EXIT
 fi
 
-go run -race ./cmd/resemblefront -soak -soak.duration 5s -soak.accesses 2000 \
-    -soak.artifacts "$dir"
+go run -race ./cmd/resemblefront -soak -soak.artifacts "$dir"
 
 for f in incident-kill.json stitched-kill.json incident-wedge.json stitched-wedge.json; do
     if ! test -s "$dir/$f"; then
